@@ -1,33 +1,25 @@
 // Code-cache read-path contention: reader threads hammer warm keys through
-// CodeCache::Lookup while the read path is either the wait-free
-// epoch-protected index (lockfree_reads = true, the engine default) or the
-// mutex-guarded map (= false, the pre-index baseline). Two scenarios per
-// (threads, mode) leg:
+// CodeCache::Lookup, the wait-free epoch-protected index probe. Two
+// scenarios per thread count:
 //
-//   steady — warm hits only over a serving-sized key population (512 cached
-//            modules). Isolates the per-op read-path cost: the wait-free
-//            probe (pin, two acquire loads, ref copy — O(1) regardless of
-//            population) vs a shard lock acquisition plus an O(log n)
-//            std::map find over the same 512 entries.
+//   steady — warm hits only over a serving-sized key population (4096 cached
+//            modules). Isolates the per-op read-path cost: pin, two acquire
+//            loads, ref copy — O(1) regardless of population.
 //   churn  — same readers, plus one writer periodically retiring and
 //            republishing every key (Clear + republish, the eviction /
-//            tier-up shape). This is the pathology the tentpole removes:
-//            mutex readers serialize behind the writer's lock and eat futex
-//            waits, wait-free readers never block — lock_waits stays
-//            exactly 0 on every lockfree leg.
+//            tier-up shape). Readers never block on the writer: lookups that
+//            land in the Clear -> republish window complete as nulls.
 //
-// The cache is built with a single shard so every key contends on one lock
-// in mutex mode — the worst case the 16-shard engine default only dilutes.
-// All legs run on whatever cores the host offers (the JSON records "cpus");
-// on a single-core host threads time-slice, so the throughput signal is the
-// per-op read-path cost and the futex/scheduling overhead the mutex legs
-// pay — the wait-free legs' advantage only widens with real core counts.
+// Every lookup is one op, hit or null, so ops/s compares legs on equal
+// terms; the null rate says how much of a churn leg fell in the window.
+// lock_waits must stay exactly 0 on every leg. The cache is built with a
+// single shard so the writer's lock is the one lock every key shares — any
+// reader that touched it would show up as a lock wait. On a single-core
+// host threads time-slice, so the signal is the per-op read-path cost.
 //
 // Emits BENCH_cache_contention.json:
-//   {"cpus":N,"legs":[{scenario,threads,mode,hits,nulls,seconds,
-//    hits_per_sec,p50_ns,p99_ns,lock_waits},...],
-//    "speedup_by_threads":{"steady":{"8":...},"churn":{"8":...}}}
-// where speedup is lockfree hits/s over mutex hits/s at equal thread count.
+//   {"cpus":N,"legs":[{scenario,threads,ops,hits,nulls,seconds,ops_per_sec,
+//    null_rate,p50_ns,p99_ns,lock_waits},...]}
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -69,14 +61,18 @@ uint64_t KeyHash(int k) {
 struct Leg {
   const char* scenario = "";
   int threads = 0;
-  bool lockfree = false;
   uint64_t hits = 0;
-  uint64_t nulls = 0;  // churn windows between Clear and republish
+  uint64_t nulls = 0;  // lookups that landed between Clear and republish
   double seconds = 0;
-  double hits_per_sec = 0;
   uint64_t p50_ns = 0;
   uint64_t p99_ns = 0;
   uint64_t lock_waits = 0;
+
+  uint64_t ops() const { return hits + nulls; }
+  double ops_per_sec() const { return seconds > 0 ? static_cast<double>(ops()) / seconds : 0; }
+  double null_rate() const {
+    return ops() > 0 ? static_cast<double>(nulls) / static_cast<double>(ops()) : 0;
+  }
 };
 
 uint64_t Percentile(const std::vector<uint64_t>& sorted, double p) {
@@ -94,9 +90,9 @@ void PublishAllKeys(engine::CodeCache& cache, const engine::CompiledModuleRef& m
   }
 }
 
-Leg RunLeg(const char* scenario, bool with_writer, int threads, bool lockfree,
+Leg RunLeg(const char* scenario, bool with_writer, int threads,
            const engine::CompiledModuleRef& module, double duration_seconds) {
-  engine::CodeCache cache(/*shard_count=*/1, /*disk_dir=*/"", /*disk_max_bytes=*/0, lockfree);
+  engine::CodeCache cache(/*shard_count=*/1);
   PublishAllKeys(cache, module);
   cache.ResetTelemetry();
 
@@ -166,21 +162,18 @@ Leg RunLeg(const char* scenario, bool with_writer, int threads, bool lockfree,
   if (writer.joinable()) {
     writer.join();
   }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - bench_t0).count();
 
   Leg leg;
   leg.scenario = scenario;
   leg.threads = threads;
-  leg.lockfree = lockfree;
-  leg.seconds = elapsed;
+  leg.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - bench_t0).count();
   for (uint64_t c : hit_counts) {
     leg.hits += c;
   }
   for (uint64_t c : null_counts) {
     leg.nulls += c;
   }
-  leg.hits_per_sec = elapsed > 0 ? static_cast<double>(leg.hits) / elapsed : 0;
   std::vector<uint64_t> all;
   for (const auto& s : samples) {
     all.insert(all.end(), s.begin(), s.end());
@@ -212,77 +205,33 @@ int main() {
     return 1;
   }
 
-  std::vector<Leg> legs;
+  std::string legs_json;
   for (const char* scenario : {"steady", "churn"}) {
     const bool with_writer = std::string(scenario) == "churn";
-    for (int t : kThreads) {
-      for (bool lockfree : {false, true}) {
-        Leg leg = RunLeg(scenario, with_writer, t, lockfree, module, kLegSeconds);
-        fprintf(stderr, "  %-6s %2d threads %-8s : %8.2f Mhits/s  p99 %8llu ns  lock_waits %llu\n",
-                leg.scenario, leg.threads, lockfree ? "lockfree" : "mutex",
-                leg.hits_per_sec / 1e6, static_cast<unsigned long long>(leg.p99_ns),
-                static_cast<unsigned long long>(leg.lock_waits));
-        legs.push_back(leg);
-      }
-    }
-  }
-
-  auto find_leg = [&](const char* scenario, int threads, bool lockfree) -> const Leg* {
-    for (const Leg& l : legs) {
-      if (std::string(l.scenario) == scenario && l.threads == threads &&
-          l.lockfree == lockfree) {
-        return &l;
-      }
-    }
-    return nullptr;
-  };
-
-  std::string speedup_json;
-  for (const char* scenario : {"steady", "churn"}) {
     std::vector<std::vector<std::string>> rows;
-    rows.push_back({"threads", "mutex Mhits/s", "lockfree Mhits/s", "speedup", "lf p50 ns",
-                    "lf p99 ns", "mutex p99 ns", "mutex lock_waits", "lf lock_waits"});
-    std::string per_threads;
+    rows.push_back({"threads", "Mops/s", "null rate", "p50 ns", "p99 ns", "lock_waits"});
     for (int t : kThreads) {
-      const Leg* mu = find_leg(scenario, t, false);
-      const Leg* lf = find_leg(scenario, t, true);
-      double speedup = mu->hits_per_sec > 0 ? lf->hits_per_sec / mu->hits_per_sec : 0;
-      rows.push_back({StrFormat("%d", t), StrFormat("%.2f", mu->hits_per_sec / 1e6),
-                      StrFormat("%.2f", lf->hits_per_sec / 1e6), StrFormat("%.2fx", speedup),
-                      StrFormat("%llu", (unsigned long long)lf->p50_ns),
-                      StrFormat("%llu", (unsigned long long)lf->p99_ns),
-                      StrFormat("%llu", (unsigned long long)mu->p99_ns),
-                      StrFormat("%llu", (unsigned long long)mu->lock_waits),
-                      StrFormat("%llu", (unsigned long long)lf->lock_waits)});
-      if (!per_threads.empty()) {
-        per_threads += ",";
-      }
-      per_threads += StrFormat("\"%d\":%.4f", t, speedup);
+      Leg leg = RunLeg(scenario, with_writer, t, module, kLegSeconds);
+      rows.push_back({StrFormat("%d", t), StrFormat("%.2f", leg.ops_per_sec() / 1e6),
+                      StrFormat("%.4f", leg.null_rate()),
+                      StrFormat("%llu", (unsigned long long)leg.p50_ns),
+                      StrFormat("%llu", (unsigned long long)leg.p99_ns),
+                      StrFormat("%llu", (unsigned long long)leg.lock_waits)});
+      legs_json += StrFormat(
+          "%s{\"scenario\":\"%s\",\"threads\":%d,\"ops\":%llu,\"hits\":%llu,"
+          "\"nulls\":%llu,\"seconds\":%.4f,\"ops_per_sec\":%.1f,\"null_rate\":%.6f,"
+          "\"p50_ns\":%llu,\"p99_ns\":%llu,\"lock_waits\":%llu}",
+          legs_json.empty() ? "" : ",", leg.scenario, leg.threads,
+          (unsigned long long)leg.ops(), (unsigned long long)leg.hits,
+          (unsigned long long)leg.nulls, leg.seconds, leg.ops_per_sec(), leg.null_rate(),
+          (unsigned long long)leg.p50_ns, (unsigned long long)leg.p99_ns,
+          (unsigned long long)leg.lock_waits);
     }
-    printf("cache_contention [%s]: warm-hit read path, wait-free index vs mutex\n%s\n", scenario,
+    printf("cache_contention [%s]: wait-free warm-hit read path\n%s\n", scenario,
            RenderTable(rows).c_str());
-    if (!speedup_json.empty()) {
-      speedup_json += ",";
-    }
-    speedup_json += StrFormat("\"%s\":{%s}", scenario, per_threads.c_str());
   }
 
-  std::string legs_json;
-  for (const Leg& l : legs) {
-    if (!legs_json.empty()) {
-      legs_json += ",";
-    }
-    legs_json += StrFormat(
-        "{\"scenario\":\"%s\",\"threads\":%d,\"mode\":\"%s\",\"hits\":%llu,"
-        "\"nulls\":%llu,\"seconds\":%.4f,\"hits_per_sec\":%.1f,\"p50_ns\":%llu,"
-        "\"p99_ns\":%llu,\"lock_waits\":%llu}",
-        l.scenario, l.threads, l.lockfree ? "lockfree" : "mutex", (unsigned long long)l.hits,
-        (unsigned long long)l.nulls, l.seconds, l.hits_per_sec, (unsigned long long)l.p50_ns,
-        (unsigned long long)l.p99_ns, (unsigned long long)l.lock_waits);
-  }
   WriteBenchJson("cache_contention",
-                 StrFormat("{\"cpus\":%u,\"legs\":[%s],\"speedup_by_threads\":{%s}}", cpus,
-                           legs_json.c_str(), speedup_json.c_str()),
-                 &eng);
+                 StrFormat("{\"cpus\":%u,\"legs\":[%s]}", cpus, legs_json.c_str()), &eng);
   return 0;
 }

@@ -3,15 +3,16 @@
 //
 // Phases (full mode):
 //   cold  — a low, below-knee offered load against the cold engine: the
-//           backend compiles, disk-tier loads, and tier-up warm-ups all land
-//           as tail events attributed to the exact requests they stalled
-//           (each leg's slowest list carries the attribution bits).
+//           backend compiles, compile joins, and disk-tier loads all land as
+//           tail events attributed to the exact requests they stalled (each
+//           leg's slowest list carries the attribution bits).
 //   warm  — the identical leg rerun: the cold events must be gone, and with
 //           them the compile-induced p99 inflation.
 //   sweep — offered load swept as fractions of the calibrated capacity
-//           (workers / mean warm service time) to locate the knee: below it
-//           goodput tracks offered and queues stay shallow; past it the e2e
-//           p99 blows up and admission control starts shedding.
+//           (min(workers, cpus) / mean warm service time) to locate the
+//           knee: below it goodput tracks offered and queues stay shallow;
+//           past it the e2e p99 blows up and admission control starts
+//           shedding.
 //
 // NSF_SERVING_SMOKE=1 runs only cold+warm at a token load and asserts zero
 // shed — the CI-sized leg. Exit status asserts the acceptance criteria:
@@ -19,7 +20,9 @@
 // present in the cold leg and absent from the warm rerun.
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <thread>
 
 #include "src/engine/serving.h"
 
@@ -41,11 +44,10 @@ std::string SlowestJson(const std::vector<engine::ServedRequest>& slowest) {
     out += StrFormat(
         "%s{\"workload\":\"%s\",\"outcome\":\"%s\",\"queue_seconds\":%.6f,"
         "\"service_seconds\":%.6f,\"e2e_seconds\":%.6f,\"cold_compile\":%s,"
-        "\"compile_join\":%s,\"disk_load\":%s,\"tier_warmup\":%s}",
+        "\"compile_join\":%s,\"disk_load\":%s}",
         i == 0 ? "" : ",", JsonEscape(r.workload).c_str(), engine::ServeOutcomeName(r.outcome),
         r.queue_seconds, r.service_seconds, r.e2e_seconds, r.cold_compile ? "true" : "false",
-        r.compile_join ? "true" : "false", r.disk_load ? "true" : "false",
-        r.tier_warmup ? "true" : "false");
+        r.compile_join ? "true" : "false", r.disk_load ? "true" : "false");
   }
   return out + "]";
 }
@@ -57,7 +59,7 @@ std::string TenantJson(const engine::TenantReport& t) {
       "\"offered_rps\":%.3f,\"goodput_rps\":%.3f,"
       "\"queue_ns\":%s,\"service_ns\":%s,\"e2e_ns\":%s,"
       "\"cold_compiles\":%llu,\"compile_joins\":%llu,\"disk_loads\":%llu,"
-      "\"tier_warmups\":%llu,\"slowest\":%s}",
+      "\"slowest\":%s}",
       (unsigned long long)t.offered, (unsigned long long)t.admitted,
       (unsigned long long)t.completed, (unsigned long long)t.failed,
       (unsigned long long)t.shed_queue, (unsigned long long)t.shed_slo,
@@ -65,7 +67,7 @@ std::string TenantJson(const engine::TenantReport& t) {
       SnapshotJson(t.queue_ns).c_str(), SnapshotJson(t.service_ns).c_str(),
       SnapshotJson(t.e2e_ns).c_str(), (unsigned long long)t.cold_compiles,
       (unsigned long long)t.compile_joins, (unsigned long long)t.disk_loads,
-      (unsigned long long)t.tier_warmups, SlowestJson(t.slowest).c_str());
+      SlowestJson(t.slowest).c_str());
 }
 
 std::string LegJson(const engine::ServingReport& r) {
@@ -93,7 +95,6 @@ struct TailEvents {
   uint64_t cold_compiles = 0;
   uint64_t compile_joins = 0;
   uint64_t disk_loads = 0;
-  uint64_t tier_warmups = 0;
 };
 
 TailEvents TailEventsOf(const engine::ServingReport& r) {
@@ -102,7 +103,6 @@ TailEvents TailEventsOf(const engine::ServingReport& r) {
     e.cold_compiles += t.cold_compiles;
     e.compile_joins += t.compile_joins;
     e.disk_loads += t.disk_loads;
-    e.tier_warmups += t.tier_warmups;
   }
   return e;
 }
@@ -121,10 +121,11 @@ int main() {
   const bool smoke = std::getenv("NSF_SERVING_SMOKE") != nullptr;
   printf("== Engine serving mode: open-loop arrivals, DRR fairness, admission control ==\n\n");
   engine::Engine& eng = SharedEngine();
+  const int cpus = static_cast<int>(std::thread::hardware_concurrency());
   bool failed = false;
 
   // Two tenants over PolyBench: "steady" (Poisson) and "spiky" (bursty,
-  // tiered): the spiky tenant's first requests pay the tier-up warm-ups.
+  // double weight).
   std::vector<WorkloadSpec> suite = AllPolybench();
   const size_t n = suite.size();
   std::vector<engine::TenantConfig> tenants(2);
@@ -141,7 +142,6 @@ int main() {
   tenants[0].arrivals.seed = 101;
   tenants[1].name = "spiky";
   tenants[1].weight = 2.0;  // interactive tenant: double DRR share
-  tenants[1].tier_up = true;
   for (size_t i : {size_t{3} % n, size_t{4} % n}) {
     engine::RunRequest req;
     req.spec = suite[i];
@@ -194,20 +194,15 @@ int main() {
   engine::ServingReport cold = run_leg("cold", base_rps);
   TailEvents cold_events = TailEventsOf(cold);
   printf("cold  (%3.0f rps): goodput %.1f rps, worst e2e p99 %8.3f ms | tail events: "
-         "%llu compiles, %llu joins, %llu disk loads, %llu tier warm-ups\n",
+         "%llu compiles, %llu joins, %llu disk loads\n",
          cold.offered_rps, cold.goodput_rps, WorstP99Ns(cold) / 1e6,
          (unsigned long long)cold_events.cold_compiles,
          (unsigned long long)cold_events.compile_joins,
-         (unsigned long long)cold_events.disk_loads,
-         (unsigned long long)cold_events.tier_warmups);
+         (unsigned long long)cold_events.disk_loads);
   // Against a cold engine SOMEBODY pays each key's artifact: a backend
   // compile, or a disk-tier load when NSF_CACHE_DIR is already warm.
   if (cold_events.cold_compiles + cold_events.disk_loads == 0) {
     fprintf(stderr, "!! cold leg shows no compile or disk-load tail events\n");
-    failed = true;
-  }
-  if (TailEventsOf(cold).tier_warmups == 0) {
-    fprintf(stderr, "!! spiky tenant tiered up but no request paid a warm-up\n");
     failed = true;
   }
 
@@ -215,14 +210,12 @@ int main() {
   engine::ServingReport warm = run_leg("warm", base_rps);
   TailEvents warm_events = TailEventsOf(warm);
   printf("warm  (%3.0f rps): goodput %.1f rps, worst e2e p99 %8.3f ms | tail events: "
-         "%llu compiles, %llu joins, %llu disk loads, %llu tier warm-ups\n",
+         "%llu compiles, %llu joins, %llu disk loads\n",
          warm.offered_rps, warm.goodput_rps, WorstP99Ns(warm) / 1e6,
          (unsigned long long)warm_events.cold_compiles,
          (unsigned long long)warm_events.compile_joins,
-         (unsigned long long)warm_events.disk_loads,
-         (unsigned long long)warm_events.tier_warmups);
-  if (warm_events.cold_compiles + warm_events.disk_loads + warm_events.compile_joins +
-          warm_events.tier_warmups != 0) {
+         (unsigned long long)warm_events.disk_loads);
+  if (warm_events.cold_compiles + warm_events.disk_loads + warm_events.compile_joins != 0) {
     fprintf(stderr, "!! warm rerun still paid cold tail events\n");
     failed = true;
   }
@@ -247,9 +240,12 @@ int main() {
       service_count += t.service_ns.count;
     }
     double mean_service = service_count > 0 ? service_sum_ns / 1e9 / service_count : 0.01;
-    capacity_rps = mean_service > 0 ? config.workers / mean_service : 0;
-    fprintf(stderr, "calibration: mean service %.3f ms -> ~%.0f rps capacity at %d workers\n",
-            mean_service * 1e3, capacity_rps, config.workers);
+    // Workers past the core count time-slice rather than add service.
+    const int serving_cores = std::min(config.workers, std::max(1, cpus));
+    capacity_rps = mean_service > 0 ? serving_cores / mean_service : 0;
+    fprintf(stderr,
+            "calibration: mean service %.3f ms -> ~%.0f rps capacity at %d workers on %d cpus\n",
+            mean_service * 1e3, capacity_rps, config.workers, cpus);
 
     // Past the knee admission control takes over: an e2e SLO of 5x the mean
     // service time bounds how far the queues can inflate p99 — overload legs
@@ -287,10 +283,10 @@ int main() {
 
   std::string sweep_block = sweep_json.empty() ? "" : ",\"sweep\":{" + sweep_json + "}";
   std::string json = StrFormat(
-      "\"mode\":\"%s\",\"workers\":%d,\"duration_seconds\":%.3f,"
+      "\"mode\":\"%s\",\"workers\":%d,\"cpus\":%d,\"duration_seconds\":%.3f,"
       "\"capacity_rps_estimate\":%.3f,\"knee_rps\":%.3f,"
       "\"cold\":%s,\"warm\":%s%s",
-      smoke ? "smoke" : "full", config.workers, config.duration_seconds, capacity_rps,
+      smoke ? "smoke" : "full", config.workers, cpus, config.duration_seconds, capacity_rps,
       knee_rps, LegJson(cold).c_str(), LegJson(warm).c_str(), sweep_block.c_str());
   WriteBenchJson("engine_serving", "{" + json + "}");
 
@@ -300,8 +296,7 @@ int main() {
                             "tail events (%llu) absent from the warm rerun.",
                             warm_goodput_ratio * 100,
                             (unsigned long long)(cold_events.cold_compiles +
-                                                 cold_events.disk_loads +
-                                                 cold_events.tier_warmups))
+                                                 cold_events.disk_loads))
                       .c_str());
   return failed ? 1 : 0;
 }

@@ -77,9 +77,8 @@ size_t IndexHash(uint64_t module_hash, uint64_t fingerprint) {
 
 // --- CodeCache ---
 
-CodeCache::CodeCache(size_t shard_count, std::string disk_dir, uint64_t disk_max_bytes,
-                     bool lockfree_reads)
-    : disk_(std::move(disk_dir), disk_max_bytes), lockfree_reads_(lockfree_reads) {
+CodeCache::CodeCache(size_t shard_count, std::string disk_dir, uint64_t disk_max_bytes)
+    : disk_(std::move(disk_dir), disk_max_bytes) {
   size_t n = RoundUpPow2(shard_count == 0 ? 1 : shard_count);
   shards_.reserve(n);
   for (size_t i = 0; i < n; i++) {
@@ -203,15 +202,9 @@ std::unique_lock<std::mutex> CodeCache::LockShard(const Shard& shard) const {
 }
 
 CompiledModuleRef CodeCache::Lookup(uint64_t module_hash, uint64_t fingerprint) const {
-  const Shard& shard = ShardFor(module_hash);
-  if (lockfree_reads_) {
-    // The index holds exactly the completed entries, so the wait-free probe
-    // answers the same question without the lock.
-    return IndexLookup(shard, module_hash, fingerprint);
-  }
-  std::unique_lock<std::mutex> lock = LockShard(shard);
-  auto it = shard.entries.find({module_hash, fingerprint});
-  return it == shard.entries.end() ? nullptr : it->second.code;
+  // The index holds exactly the completed entries, so the wait-free probe
+  // answers the question without the lock.
+  return IndexLookup(ShardFor(module_hash), module_hash, fingerprint);
 }
 
 void CodeCache::Republish(uint64_t module_hash, uint64_t fingerprint,
@@ -261,20 +254,18 @@ CompiledModuleRef CodeCache::GetOrCompile(uint64_t module_hash, uint64_t fingerp
   Shard& shard = ShardFor(module_hash);
   std::pair<uint64_t, uint64_t> key{module_hash, fingerprint};
 
-  if (lockfree_reads_) {
-    // The wait-free warm-hit path: an epoch-pinned index probe, no mutex.
-    // Under saturation this is the only code concurrent warm callers run —
-    // lock_waits stays 0 no matter how many threads hammer one key.
-    const auto t0 = std::chrono::steady_clock::now();
-    CompiledModuleRef hit = IndexLookup(shard, module_hash, fingerprint);
-    if (hit != nullptr) {
-      info->hit = true;
-      static telemetry::Counter& mem_hits = Count("engine.cache.mem_hit");
-      mem_hits.Add();
-      static telemetry::Histogram& hit_ns = Hist("engine.cache.hit_ns");
-      hit_ns.Record(ElapsedNs(t0));
-      return hit;
-    }
+  // The wait-free warm-hit path: an epoch-pinned index probe, no mutex.
+  // Under saturation this is the only code concurrent warm callers run —
+  // lock_waits stays 0 no matter how many threads hammer one key.
+  const auto t0 = std::chrono::steady_clock::now();
+  CompiledModuleRef hit = IndexLookup(shard, module_hash, fingerprint);
+  if (hit != nullptr) {
+    info->hit = true;
+    static telemetry::Counter& mem_hits = Count("engine.cache.mem_hit");
+    mem_hits.Add();
+    static telemetry::Histogram& hit_ns = Hist("engine.cache.hit_ns");
+    hit_ns.Record(ElapsedNs(t0));
+    return hit;
   }
 
   std::shared_ptr<Latch> latch;
@@ -284,8 +275,8 @@ CompiledModuleRef CodeCache::GetOrCompile(uint64_t module_hash, uint64_t fingerp
     std::unique_lock<std::mutex> lock = LockShard(shard);
     Entry& entry = shard.entries[key];
     if (entry.code != nullptr) {
-      // Mutex-path hit: either lockfree_reads is off (the A/B baseline), or
-      // the entry was published between the index probe and this lock.
+      // Another thread published this key between the index probe above and
+      // this lock: serve its entry rather than compiling it again.
       info->hit = true;
       static telemetry::Counter& mem_hits = Count("engine.cache.mem_hit");
       mem_hits.Add();
@@ -459,98 +450,38 @@ void CodeCache::Clear() {
 // --- TieringPolicy ---
 
 CodegenOptions TieringPolicy::TierUp(const WorkloadSpec& spec, const CodegenOptions& base,
-                                     std::string* error, bool* paid_warmup) {
-  if (paid_warmup != nullptr) {
-    *paid_warmup = false;
-  }
-  // Per-workload leader/latch (mirroring CodeCache::GetOrCompile): only
-  // same-name requests share one warm-up; distinct workloads profile in
-  // parallel. Profile pointers stay valid because TierManager's cache is
-  // node-stable.
-  std::shared_ptr<WarmupLatch> latch;
-  bool leader = false;
+                                     std::string* error) {
+  // Profile pointers stay valid outside the lock because TierManager's cache
+  // is node-stable.
   {
     std::lock_guard<std::mutex> lock(mu_);
     const Profile* cached = manager_.CachedProfile(spec.name);
     if (cached != nullptr) {
       return manager_.TierUp(base, cached);
     }
-    auto it = inflight_.find(spec.name);
-    if (it != inflight_.end()) {
-      latch = it->second;  // another thread is warming this workload up
-    } else {
-      latch = std::make_shared<WarmupLatch>();
-      inflight_[spec.name] = latch;
-      leader = true;
-    }
   }
 
-  // Both the leader and anyone who blocks on its latch pay warm-up wall time
-  // on this call path — that, not "who ran the interpreter", is the bit
-  // serving's tail attribution needs.
-  if (paid_warmup != nullptr) {
-    *paid_warmup = true;
-  }
-
-  if (!leader) {
-    std::unique_lock<std::mutex> lk(latch->mu);
-    latch->cv.wait(lk, [&] { return latch->ready; });
-    if (latch->profile == nullptr) {
-      *error = latch->error;
-      return base;
-    }
-    return manager_.TierUp(base, latch->profile);
-  }
-
-  // Leader: run the interpreter warm-up OUTSIDE the policy lock so other
-  // workloads' warm-ups (and cached-profile fast paths) proceed concurrently.
-  // Counted whether or not it succeeds — failures are not cached and will
-  // run again on the next request.
+  // Run the interpreter warm-up OUTSIDE the policy lock so cached-profile
+  // fast paths and run-history updates proceed meanwhile. Counted whether or
+  // not it succeeds — failures are not cached and will run again next time.
   warmup_runs_.fetch_add(1, std::memory_order_relaxed);
   telemetry::Span span("tier.warmup", "engine");
   span.arg("workload", spec.name);
   const auto warmup_t0 = std::chrono::steady_clock::now();
   Profile profile;
-  std::string warmup_error;
-  bool collected = false;
-  try {
-    collected = manager_.Collect(spec, &profile, &warmup_error);
-    static telemetry::Histogram& warmup_ns = Hist("engine.tier.warmup_ns");
-    warmup_ns.Record(ElapsedNs(warmup_t0));
-  } catch (...) {
-    // Release waiters before propagating: a dead latch would wedge the name.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      inflight_.erase(spec.name);
-    }
-    {
-      std::lock_guard<std::mutex> lk(latch->mu);
-      latch->error = spec.name + ": exception during warm-up";
-      latch->ready = true;
-    }
-    latch->cv.notify_all();
-    throw;
+  const bool collected = manager_.Collect(spec, &profile, error);
+  static telemetry::Histogram& warmup_ns = Hist("engine.tier.warmup_ns");
+  warmup_ns.Record(ElapsedNs(warmup_t0));
+  if (!collected) {
+    return base;
   }
 
   const Profile* published = nullptr;
   {
+    // First writer wins: a racer that profiled the same name gets the
+    // already-cached profile back, so every caller tiers with one pointer.
     std::lock_guard<std::mutex> lock(mu_);
-    if (collected) {
-      published = manager_.Insert(spec.name, std::move(profile));
-    }
-    inflight_.erase(spec.name);
-  }
-  {
-    std::lock_guard<std::mutex> lk(latch->mu);
-    latch->profile = published;
-    latch->error = warmup_error;
-    latch->ready = true;
-  }
-  latch->cv.notify_all();
-
-  if (published == nullptr) {
-    *error = warmup_error;
-    return base;
+    published = manager_.Insert(spec.name, std::move(profile));
   }
   return manager_.TierUp(base, published);
 }
@@ -702,8 +633,7 @@ double TieringPolicy::EstimateSeconds(const std::string& name, uint64_t* observe
 Engine::Engine(EngineConfig config)
     : config_(config),
       tiering_(config.tiering),
-      cache_(config.cache_shards, config.cache_dir, config.disk_cache_max_bytes,
-             config.cache_lockfree_reads) {
+      cache_(config.cache_shards, config.cache_dir, config.disk_cache_max_bytes) {
   if (!config_.cache_dir.empty()) {
     tiering_.LoadHistory(RunHistoryPath());
   }
@@ -858,27 +788,25 @@ CompiledModuleRef Engine::CompileWorkload(const WorkloadSpec& spec,
 }
 
 CodegenOptions Engine::TierUp(const WorkloadSpec& spec, const CodegenOptions& base,
-                              std::string* error, bool* paid_warmup) {
+                              std::string* error) {
   // Profile persistence (satellite to the disk artifact tier): a previous
   // process's warm-up profile lives next to the artifacts, so a warm process
   // seeds the in-memory profile cache and skips the interpreter run.
+  bool persist = false;
   if (cache_.disk().enabled() && !tiering_.HasProfile(spec.name)) {
     Profile loaded;
     if (cache_.disk().LoadProfile(spec.name, &loaded)) {
       tiering_.InsertProfile(spec.name, std::move(loaded));
       static telemetry::Counter& profile_loads = Count("engine.tier.profile_disk_load");
       profile_loads.Add();
+    } else {
+      persist = true;  // the warm-up below is fresh: keep it for the next process
     }
   }
-  bool warmed = false;
-  CodegenOptions tiered = tiering_.TierUp(spec, base, error, &warmed);
-  if (paid_warmup != nullptr) {
-    *paid_warmup = warmed;
-  }
-  // Persist a fresh warm-up's profile for the next process. Joiners may
-  // duplicate the leader's write with identical bytes — StoreProfile writes
-  // tmp + rename, so the race is harmless and only spans the cold window.
-  if (warmed && cache_.disk().enabled() && tiered.profile != nullptr) {
+  CodegenOptions tiered = tiering_.TierUp(spec, base, error);
+  // A racer may duplicate this write with identical bytes — StoreProfile
+  // writes tmp + rename, so the race is harmless.
+  if (persist && tiered.profile != nullptr) {
     cache_.disk().StoreProfile(spec.name, *tiered.profile);
   }
   return tiered;

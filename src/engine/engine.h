@@ -12,7 +12,11 @@
 //              prefix) with a per-entry "compiling" latch, and behind it sits
 //              an optional on-disk tier (src/engine/disk_cache.h) of
 //              serialized CompiledArtifact files — a warm cache directory
-//              makes a fresh process skip every backend compile.
+//              makes a fresh process skip every backend compile. Warm hits
+//              are wait-free (an epoch-protected index, no lock). PGO
+//              tier-up has one production path: the background tierer
+//              (src/engine/tierer.h) recompiles hot modules off the serve
+//              path and hot-swaps them in.
 //   Session  — one BrowsixKernel + VFS staging area, single-threaded by
 //              design: each worker thread owns its own Session. Many modules
 //              can be instantiated into one session; they share the
@@ -125,10 +129,6 @@ using CompiledModuleRef = std::shared_ptr<const CompiledModule>;
 //   same key blocks on the latch and shares the leader's result (exactly one
 //   backend invocation per key).
 //
-// `lockfree_reads = false` keeps the index maintained but routes every hit
-// through the shard mutex — the A/B baseline bench/cache_contention measures
-// against.
-//
 // Level 2 (disk, optional): before compiling, the leader probes the disk
 // tier for a serialized artifact of the key and — on an accepted load —
 // publishes it exactly like a compile result. After a successful backend
@@ -151,7 +151,7 @@ struct CompileInfo {
 class CodeCache {
  public:
   explicit CodeCache(size_t shard_count = kDefaultShards, std::string disk_dir = "",
-                     uint64_t disk_max_bytes = 0, bool lockfree_reads = true);
+                     uint64_t disk_max_bytes = 0);
   ~CodeCache();
 
   // Returns the cached module for (module_hash, fingerprint) or invokes
@@ -184,7 +184,6 @@ class CodeCache {
   size_t size() const;
   void Clear();  // memory tier only; the disk tier persists by design
   size_t shard_count() const { return shards_.size(); }
-  bool lockfree_reads() const { return lockfree_reads_; }
 
   DiskCodeCache& disk() { return disk_; }
   const DiskCodeCache& disk() const { return disk_; }
@@ -275,7 +274,6 @@ class CodeCache {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   DiskCodeCache disk_;
-  const bool lockfree_reads_;
   mutable std::atomic<uint64_t> lock_waits_{0};
   mutable std::atomic<uint64_t> lock_wait_nanos_{0};
   std::atomic<uint64_t> verify_rejects_{0};
@@ -286,24 +284,20 @@ class CodeCache {
 // Engine-owned tier-up policy: wraps the PGO TierManager so profiling and
 // profile-guided recompilation are an engine concern, not a caller concern.
 //
-// Thread-safe with per-workload warm-up latches (the same leader/joiner
-// pattern CodeCache::GetOrCompile uses): the first caller for a workload
-// name becomes the leader and runs the interpreter warm-up while concurrent
-// callers for the SAME name wait on its latch — but warm-ups of DIFFERENT
-// names proceed in parallel instead of serializing behind one global mutex.
+// Thread-safe: the profile cache and run history sit behind one mutex, and
+// the interpreter warm-up runs outside it. Its callers are the background
+// tierer thread and serial offline benches, so concurrent warm-ups of one
+// name are not deduplicated: racers each profile, the first Insert wins, and
+// every caller tiers with the one cached profile.
 class TieringPolicy {
  public:
   explicit TieringPolicy(TierConfig config = TierConfig()) : manager_(config) {}
 
-  // Profile-guided options for `spec` over `base`. The warm-up interpreter
-  // run happens at most once per workload name (TierManager caches the
-  // profile). On warm-up failure returns `base` unchanged and sets *error.
-  // *paid_warmup (optional) reports whether THIS call paid warm-up wall time
-  // — it ran the interpreter warm-up or blocked on another thread's — as
-  // opposed to the cached-profile fast path; serving attributes tier_warmup
-  // tail events from exactly this bit.
+  // Profile-guided options for `spec` over `base`. Once a workload name's
+  // profile is cached no warm-up runs again. On warm-up failure returns
+  // `base` unchanged and sets *error (failures are not cached).
   CodegenOptions TierUp(const WorkloadSpec& spec, const CodegenOptions& base,
-                        std::string* error, bool* paid_warmup = nullptr);
+                        std::string* error);
 
   // True when `name`'s profile is already cached (no warm-up would run).
   bool HasProfile(const std::string& name) const;
@@ -359,22 +353,13 @@ class TieringPolicy {
   void ResetWarmupCount() { warmup_runs_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct WarmupLatch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool ready = false;
-    const Profile* profile = nullptr;  // null = warm-up failed
-    std::string error;
-  };
-
   struct RunHistory {
     uint64_t runs = 0;
     double total_sim_seconds = 0;
   };
 
-  mutable std::mutex mu_;  // guards manager_'s cache, inflight_, history_
+  mutable std::mutex mu_;  // guards manager_'s cache and history_
   TierManager manager_;
-  std::map<std::string, std::shared_ptr<WarmupLatch>> inflight_;
   std::map<std::string, RunHistory> history_;
   std::atomic<uint64_t> warmup_runs_{0};  // interpreter warm-ups actually executed
   // Runs recorded since the last successful save; mutable because SaveHistory
@@ -390,10 +375,6 @@ uint64_t DefaultDiskCacheMaxBytes();
 struct EngineConfig {
   bool cache_enabled = true;   // table2-style compile-time benches disable it
   size_t cache_shards = CodeCache::kDefaultShards;
-  // Wait-free warm-hit read path (epoch-protected index). Disabling routes
-  // every hit through the shard mutex — the contention baseline
-  // bench/cache_contention measures against; production keeps it on.
-  bool cache_lockfree_reads = true;
   // Disk tier: empty disables persistence. Defaults honor the NSF_CACHE_DIR /
   // NSF_CACHE_MAX_BYTES environment so every bench binary persists compiles
   // when the caller exports a cache directory.
@@ -499,10 +480,10 @@ class Engine {
   // Profile-guided options for `spec` via the engine's TieringPolicy. With a
   // disk cache this first tries the profile persisted by a previous process
   // (skipping the interpreter warm-up entirely) and persists any fresh
-  // warm-up's profile for the next process. *paid_warmup (optional) reports
-  // whether this call paid warm-up wall time (ran it or blocked on one).
+  // warm-up's profile for the next process. Production calls this from the
+  // background tierer thread only; nothing on the serve path blocks on it.
   CodegenOptions TierUp(const WorkloadSpec& spec, const CodegenOptions& base,
-                        std::string* error, bool* paid_warmup = nullptr);
+                        std::string* error);
 
   // The shared sampling sink for `code`'s module, sized to its function
   // count (created on first request). Null when sampling is disabled

@@ -238,7 +238,6 @@ struct ServingLoop::TenantState {
   uint64_t cold_compiles = 0;
   uint64_t compile_joins = 0;
   uint64_t disk_loads = 0;
-  uint64_t tier_warmups = 0;
   uint64_t deadline_dispatches = 0;
   size_t next_mix = 0;
   uint64_t next_seq = 0;
@@ -413,20 +412,7 @@ void ServingLoop::WorkerMain(LoopState* loop, int worker_index) {
     const TenantConfig& cfg = *ts.config;
     double dispatch_seconds = SecondsSince(loop->start);
 
-    RunRequest request = cfg.mix[item.payload];
-    bool tier_warmup = false;
-    if (cfg.tier_up) {
-      // Per-call attribution straight from the tiering policy: true exactly
-      // when THIS request ran the interpreter warm-up or blocked on another
-      // thread's (a disk-loaded or cached profile is the fast path and does
-      // not count — that is the continuous-tiering win the report measures).
-      std::string tier_error;
-      request.options =
-          engine_->TierUp(request.spec, request.options, &tier_error, &tier_warmup);
-      // On warm-up failure TierUp returns the base options: serve untiered
-      // rather than shed — the SLO covers the outcome either way.
-    }
-
+    const RunRequest& request = cfg.mix[item.payload];
     BatchRunResult result =
         ExecuteRequest(&session, request, item.tenant, static_cast<int>(item.seq), worker_index);
     double complete_seconds = SecondsSince(loop->start);
@@ -442,7 +428,6 @@ void ServingLoop::WorkerMain(LoopState* loop, int worker_index) {
     rec.cold_compile = result.compiled_backend;
     rec.compile_join = result.compile_joined;
     rec.disk_load = result.disk_loaded;
-    rec.tier_warmup = tier_warmup;
     rec.deadline_dispatch = deadline_dispatch;
 
     {
@@ -456,7 +441,6 @@ void ServingLoop::WorkerMain(LoopState* loop, int worker_index) {
       ts.cold_compiles += rec.cold_compile ? 1 : 0;
       ts.compile_joins += rec.compile_join ? 1 : 0;
       ts.disk_loads += rec.disk_load ? 1 : 0;
-      ts.tier_warmups += rec.tier_warmup ? 1 : 0;
       ts.deadline_dispatches += rec.deadline_dispatch ? 1 : 0;
       ts.queue_ns->RecordSeconds(rec.queue_seconds);
       ts.service_ns->RecordSeconds(rec.service_seconds);
@@ -576,7 +560,6 @@ ServingReport ServingLoop::Run(const std::vector<TenantConfig>& tenants) {
     tr.cold_compiles = ts.cold_compiles;
     tr.compile_joins = ts.compile_joins;
     tr.disk_loads = ts.disk_loads;
-    tr.tier_warmups = ts.tier_warmups;
     tr.deadline_dispatches = ts.deadline_dispatches;
     tr.slowest = std::move(ts.slowest);
     report.offered += tr.offered;

@@ -6,8 +6,11 @@
 // invisible by construction. Serving measures TAIL LATENCY: requests arrive
 // on their own clock (an open-loop arrival process does not slow down when
 // the system falls behind), wait in per-tenant FIFO queues, and either meet
-// their SLO or are shed. Cold compiles, tier-up warm-ups, and disk-tier
-// loads all become tail events attributed to the requests they stalled.
+// their SLO or are shed. Cold compiles, compile joins, and disk-tier loads
+// all become tail events attributed to the requests they stalled. Tier-up
+// never runs on the serve path: with EngineConfig::background_tiering the
+// engine's tierer recompiles hot modules on its own thread and hot-swaps
+// them under the key requests already look up.
 //
 //   GenerateArrivals — deterministic (seeded) Poisson or bursty on/off
 //                      arrival times; pure function, unit-testable.
@@ -154,10 +157,6 @@ struct TenantConfig {
   //     outliers cannot blackhole a tenant).
   size_t max_queue_depth = 256;
   double p99_slo_seconds = 0;
-  // Tier the mix's options through the engine's TieringPolicy before each
-  // compile. The FIRST such request pays (or joins) the interpreter warm-up
-  // — a tail event the report attributes to it.
-  bool tier_up = false;
 };
 
 // --- Reports ---
@@ -187,7 +186,6 @@ struct ServedRequest {
   bool cold_compile = false;  // paid a backend compile
   bool compile_join = false;  // blocked on another worker's compile
   bool disk_load = false;     // paid a disk-tier artifact deserialization
-  bool tier_warmup = false;   // paid (or joined) an interpreter warm-up
   bool deadline_dispatch = false;  // served out of DRR order by PopUrgent
 };
 
@@ -210,7 +208,6 @@ struct TenantReport {
   uint64_t cold_compiles = 0;
   uint64_t compile_joins = 0;
   uint64_t disk_loads = 0;
-  uint64_t tier_warmups = 0;
   uint64_t deadline_dispatches = 0;  // requests served out of DRR order
   // The tenant's slowest completed/failed requests by e2e, worst first —
   // the tail, with each request's stall attribution attached.

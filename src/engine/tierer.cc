@@ -125,10 +125,10 @@ bool BackgroundTierer::TierOne(const Watched& w) {
   span.arg("workload", w.spec.name);
 
   // Preferred profile source: the full interpreter warm-up, run on THIS
-  // thread (that is the whole point — the pause moves off the serve path).
-  // It yields the same PGO options stop-the-world tiering would, so the
-  // swapped-in code is byte-identical to the old tier-up pipeline's output,
-  // and Engine::TierUp disk-persists the profile for the next process.
+  // thread (that is the whole point — the pause stays off the serve path).
+  // It yields the same PGO options an offline Engine::TierUp would, so the
+  // swapped-in code is byte-identical to an offline tiered compile, and
+  // Engine::TierUp disk-persists the profile for the next process.
   std::string error;
   CodegenOptions tiered = engine_->TierUp(w.spec, w.base, &error);
   if (tiered.profile == nullptr) {

@@ -1,19 +1,19 @@
-// Background recompilation thread for continuous tiering.
+// Background recompilation thread: the engine's one production tier-up path.
 //
-// The stop-the-world tiering story (TieringPolicy::TierUp on the serve path)
-// pays the interpreter warm-up inline with a request — visible as tier_warmup
-// tail events in serving p99. The BackgroundTierer moves the whole pipeline
-// off the serve path:
+// Running the interpreter warm-up inline with a request would put the whole
+// profiling pause into that request's latency. The BackgroundTierer keeps
+// the pipeline off the serve path:
 //
 //   1. Executors run base-tier code with sampled always-on profiling
 //      (src/profile/sampled.h): every Nth back-edge/call folds into the
 //      module's shared SampledProfile sink on machine teardown.
 //   2. This thread scans the sinks on a period. When a watched module's
-//      sample total crosses the hotness threshold it runs the existing PGO
-//      pipeline — by preference the full interpreter warm-up (highest
-//      fidelity, byte-identical artifacts to stop-the-world tiering, and the
-//      profile disk-persists for the next process), falling back to a
-//      profile reconstructed from the samples when the warm-up fails.
+//      sample total crosses the hotness threshold it runs the PGO pipeline
+//      (Engine::TierUp) — by preference the full interpreter warm-up
+//      (highest fidelity, artifacts byte-identical to an offline
+//      Engine::TierUp + Compile, and the profile disk-persists for the next
+//      process), falling back to a profile reconstructed from the samples
+//      when the warm-up fails.
 //   3. The recompiled module is hot-swapped into the CodeCache under the
 //      BASE options key (CodeCache::Republish): the safe point is one
 //      release-store into the wait-free hit index, in-flight runs finish on

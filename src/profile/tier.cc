@@ -25,18 +25,6 @@ class ForwardingResolver : public ImportResolver {
 
 }  // namespace
 
-const Profile* TierManager::ProfileFor(const WorkloadSpec& spec, std::string* error) {
-  const Profile* cached = CachedProfile(spec.name);
-  if (cached != nullptr) {
-    return cached;
-  }
-  Profile profile;
-  if (!Collect(spec, &profile, error)) {
-    return nullptr;
-  }
-  return Insert(spec.name, std::move(profile));
-}
-
 bool TierManager::Collect(const WorkloadSpec& spec, Profile* out, std::string* error) const {
   Module module = spec.build();
   ValidationResult vr = ValidateModule(module);
@@ -94,15 +82,6 @@ CodegenOptions TierManager::TierUp(const CodegenOptions& base, const Profile* pr
   tiered.pgo_rotate_hot_loops = config_.rotate_hot_loops;
   tiered.devirtualize_monomorphic = config_.devirtualize;
   return tiered;
-}
-
-CodegenOptions TierManager::TierUpFor(const WorkloadSpec& spec, const CodegenOptions& base,
-                                      std::string* error) {
-  const Profile* profile = ProfileFor(spec, error);
-  if (profile == nullptr) {
-    return base;
-  }
-  return TierUp(base, profile);
 }
 
 }  // namespace nsf

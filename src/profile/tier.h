@@ -25,20 +25,16 @@ class TierManager {
  public:
   explicit TierManager(TierConfig config = TierConfig()) : config_(config) {}
 
-  // Runs `spec` once under the interpreter with Browsix syscalls bound (the
-  // same setup the machine path uses), collecting its profile. Results are
-  // cached by spec.name; the returned pointer stays valid for the
-  // TierManager's lifetime. Returns null and sets *error on failure.
-  const Profile* ProfileFor(const WorkloadSpec& spec, std::string* error);
-
-  // The warm-up run alone, without touching the cache: collects `spec`'s
-  // profile into *out. const because it mutates no manager state — callers
-  // that serialize cache access themselves (engine::TieringPolicy's per-key
-  // latches) run Collect outside their lock so unrelated warm-ups overlap.
+  // The warm-up run: executes `spec` once under the interpreter with Browsix
+  // syscalls bound (the same setup the machine path uses), collecting its
+  // profile into *out. Returns false and sets *error on failure. const
+  // because it mutates no manager state — callers that serialize cache
+  // access themselves (engine::TieringPolicy) run Collect outside their lock.
   bool Collect(const WorkloadSpec& spec, Profile* out, std::string* error) const;
 
-  // Caches `profile` under `name` and returns the node-stable pointer. If an
-  // entry already exists it is kept and returned (first writer wins).
+  // Caches `profile` under `name` and returns the pointer, which stays valid
+  // for the TierManager's lifetime. If an entry already exists it is kept
+  // and returned (first writer wins). Not synchronized.
   const Profile* Insert(const std::string& name, Profile profile);
 
   // The cached profile for `name`, or null. Pointer is node-stable.
@@ -50,14 +46,6 @@ class TierManager {
   // Returns `base` with PGO flags enabled per the config and `profile`
   // attached. The profile must outlive every compile using the result.
   CodegenOptions TierUp(const CodegenOptions& base, const Profile* profile) const;
-
-  // ProfileFor + TierUp. Returns `base` unchanged (and sets *error) when the
-  // warm-up run fails.
-  CodegenOptions TierUpFor(const WorkloadSpec& spec, const CodegenOptions& base,
-                           std::string* error);
-
-  // True when a profile for `name` is already cached (no warm-up needed).
-  bool HasProfileFor(const std::string& name) const { return cache_.count(name) != 0; }
 
  private:
   TierConfig config_;

@@ -169,7 +169,7 @@ int64_t ByteReader::ReadVarS64() {
     shift += 7;
     if ((byte & 0x80) == 0) {
       if (shift < 64 && (byte & 0x40) != 0) {
-        result |= -(int64_t{1} << shift);
+        result |= static_cast<int64_t>(~uint64_t{0} << shift);
       }
       return result;
     }
@@ -190,7 +190,7 @@ int64_t ByteReader::ReadVarS33() {
     shift += 7;
     if ((byte & 0x80) == 0) {
       if (shift < 64 && (byte & 0x40) != 0) {
-        result |= -(int64_t{1} << shift);
+        result |= static_cast<int64_t>(~uint64_t{0} << shift);
       }
       return result;
     }

@@ -127,10 +127,9 @@ TEST(DiskProfile, WarmProcessSkipsInterpreterWarmup) {
     engine::EngineConfig config;
     config.cache_dir = dir.path;
     engine::Engine eng(config);
-    bool paid = false;
-    CodegenOptions tiered = eng.TierUp(spec, base, &error, &paid);
+    CodegenOptions tiered = eng.TierUp(spec, base, &error);
     ASSERT_NE(tiered.profile, nullptr) << error;
-    EXPECT_TRUE(paid);  // the cold process runs the interpreter warm-up...
+    // The cold process runs the interpreter warm-up...
     EXPECT_EQ(eng.Stats().tier_warmups, 1u);
     cold_entry_count = tiered.profile->func(0).entry_count;
     // ...and persists what it learned next to the code artifacts.
@@ -140,10 +139,9 @@ TEST(DiskProfile, WarmProcessSkipsInterpreterWarmup) {
   engine::EngineConfig config;
   config.cache_dir = dir.path;
   engine::Engine eng2(config);
-  bool paid = true;
-  CodegenOptions tiered = eng2.TierUp(spec, base, &error, &paid);
+  CodegenOptions tiered = eng2.TierUp(spec, base, &error);
   ASSERT_NE(tiered.profile, nullptr) << error;
-  EXPECT_FALSE(paid);  // the warm process loads the profile from disk
+  // The warm process loads the profile from disk instead.
   EXPECT_EQ(eng2.Stats().tier_warmups, 0u);
   EXPECT_EQ(tiered.profile->func(0).entry_count, cold_entry_count);
   EXPECT_EQ(tiered.profile_name, base.profile_name + "+pgo");

@@ -223,6 +223,20 @@ TEST(BackgroundTierer, SamplesDriveRecompileAndSwap) {
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_EQ(warm.exit_code, cold.exit_code);
 
+  // Steady-state identity: the background-tiered code is counter-identical
+  // to what an offline Engine::TierUp + Compile on a separate engine builds.
+  engine::Engine offline(MemOnlyConfig());
+  std::string error;
+  CodegenOptions tiered = offline.TierUp(spec, base_opts, &error);
+  ASSERT_NE(tiered.profile, nullptr) << error;
+  engine::CompiledModuleRef reference = offline.CompileWorkload(spec, tiered);
+  ASSERT_TRUE(reference->ok) << reference->error;
+  EXPECT_EQ(reference->profile_name(), now->profile_name());
+  engine::Session offline_session(&offline);
+  engine::RunOutcome ref_run = RunCode(&offline_session, reference);
+  ASSERT_TRUE(ref_run.ok) << ref_run.error;
+  EXPECT_TRUE(warm.counters == ref_run.counters);
+
   // Re-offering the workload does not re-tier (the watch is spent).
   eng.CompileWorkload(spec, base_opts);
   eng.DrainTierer();

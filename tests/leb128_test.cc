@@ -44,8 +44,8 @@ TEST(Leb128, S32RoundTrip) {
 TEST(Leb128, S64RoundTrip) {
   for (int64_t v :
        {int64_t{0}, int64_t{-1}, int64_t{1}, int64_t{-0x40}, int64_t{0x3f}, int64_t{-0x41},
-        int64_t{1} << 40, -(int64_t{1} << 40), std::numeric_limits<int64_t>::max(),
-        std::numeric_limits<int64_t>::min()}) {
+        int64_t{1} << 40, -(int64_t{1} << 40), -(int64_t{1} << 62),
+        std::numeric_limits<int64_t>::max(), std::numeric_limits<int64_t>::min()}) {
     std::vector<uint8_t> buf;
     WriteVarS64(buf, v);
     ByteReader r(buf);

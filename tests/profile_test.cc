@@ -347,11 +347,14 @@ TEST(TierManagerTest, TierUpSetsFlagsAndCachesProfiles) {
   TierManager tiers;
   WorkloadSpec spec = PolybenchSpec("gemm");
   std::string error;
-  const Profile* p1 = tiers.ProfileFor(spec, &error);
-  ASSERT_NE(p1, nullptr) << error;
-  EXPECT_GT(p1->total_instrs(), 0u);
-  const Profile* p2 = tiers.ProfileFor(spec, &error);
-  EXPECT_EQ(p1, p2);  // cached
+  Profile collected;
+  ASSERT_TRUE(tiers.Collect(spec, &collected, &error)) << error;
+  EXPECT_GT(collected.total_instrs(), 0u);
+  const Profile* p1 = tiers.Insert(spec.name, std::move(collected));
+  EXPECT_EQ(tiers.CachedProfile(spec.name), p1);
+  const Profile* p2 = tiers.Insert(spec.name, Profile());
+  EXPECT_EQ(p1, p2);  // first writer wins
+  EXPECT_GT(p2->total_instrs(), 0u);
 
   CodegenOptions tiered = tiers.TierUp(CodegenOptions::ChromeV8(), p1);
   EXPECT_EQ(tiered.profile, p1);
@@ -369,11 +372,11 @@ TEST(TierManagerTest, FuelCappedWarmUpStillYieldsAProfile) {
   TierManager tiers(config);
   WorkloadSpec spec = PolybenchSpec("gemm");
   std::string error;
-  const Profile* p = tiers.ProfileFor(spec, &error);
-  ASSERT_NE(p, nullptr) << error;
-  EXPECT_GT(p->total_instrs(), 0u);
+  Profile p;
+  ASSERT_TRUE(tiers.Collect(spec, &p, &error)) << error;
+  EXPECT_GT(p.total_instrs(), 0u);
   // The instruction that trips the budget is itself counted.
-  EXPECT_LE(p->total_instrs(), 10001u);
+  EXPECT_LE(p.total_instrs(), 10001u);
 }
 
 TEST(TierManagerTest, TieredRunValidatesAndDoesNotRegress) {

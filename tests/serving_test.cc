@@ -245,7 +245,14 @@ TEST(Drr, DrainAllEmptiesEveryQueue) {
 // --- ServingLoop ---
 
 TEST(ServingLoop, SmokeAccountsEveryArrivalAtEightWorkers) {
-  engine::Engine eng;
+  // Sampling plus the background tierer: 8 workers serve while the tierer
+  // thread recompiles hot modules and hot-swaps them under their keys.
+  engine::EngineConfig engine_config;
+  engine_config.sample_period = 16;
+  engine_config.background_tiering = true;
+  engine_config.tier_hot_samples = 8;
+  engine_config.tier_scan_period_seconds = 0.001;
+  engine::Engine eng(engine_config);
   engine::ServingConfig config;
   config.workers = 8;
   config.duration_seconds = 0.25;
@@ -263,7 +270,6 @@ TEST(ServingLoop, SmokeAccountsEveryArrivalAtEightWorkers) {
   tenants[1].arrivals.kind = engine::ArrivalKind::kBursty;
   tenants[1].arrivals.rate_rps = 80;
   tenants[1].arrivals.seed = 11;
-  tenants[1].tier_up = true;  // exercises warm-up attribution concurrently
 
   engine::ServingReport report = loop.Run(tenants);
   EXPECT_TRUE(report.accounted());
@@ -286,8 +292,11 @@ TEST(ServingLoop, SmokeAccountsEveryArrivalAtEightWorkers) {
   }
   // The workload mixes are distinct, so somebody paid each backend compile.
   EXPECT_GT(cold_compiles, 0u);
-  // The spiky tenant tiered up: its first request paid the warm-up.
-  EXPECT_GE(report.tenants[1].tier_warmups, 1u);
+  // Every served module is hot after one run (>= 1000 back-edges at period
+  // 16), so the tierer warms up and swaps at least one of them.
+  eng.DrainTierer();
+  EXPECT_GE(eng.Stats().tier_warmups, 1u);
+  EXPECT_GE(eng.Stats().tier_swaps, 1u);
 }
 
 TEST(ServingLoop, QueueDepthBoundShedsDeterministically) {
