@@ -168,7 +168,6 @@ inline std::string EngineStatsJson(const engine::EngineStats& s) {
       "\"disk_hits\":%llu,\"disk_misses\":%llu,\"disk_evictions\":%llu,"
       "\"disk_load_failures\":%llu,\"disk_stores\":%llu,"
       "\"disk_lease_waits\":%llu,\"disk_lease_takeovers\":%llu,"
-      "\"disk_manifest_rebuilds\":%llu,"
       "\"deserialize_seconds\":%.6f,\"serialize_seconds\":%.6f,"
       "\"verify_rejects\":%llu,"
       "\"tier_swaps\":%llu,\"background_recompiles\":%llu}",
@@ -184,8 +183,7 @@ inline std::string EngineStatsJson(const engine::EngineStats& s) {
       static_cast<unsigned long long>(s.disk_load_failures),
       static_cast<unsigned long long>(s.disk_stores),
       static_cast<unsigned long long>(s.disk_lease_waits),
-      static_cast<unsigned long long>(s.disk_lease_takeovers),
-      static_cast<unsigned long long>(s.disk_manifest_rebuilds), s.deserialize_seconds,
+      static_cast<unsigned long long>(s.disk_lease_takeovers), s.deserialize_seconds,
       s.serialize_seconds, static_cast<unsigned long long>(s.verify_rejects),
       static_cast<unsigned long long>(s.tier_swaps),
       static_cast<unsigned long long>(s.background_recompiles));
@@ -213,7 +211,6 @@ inline engine::EngineStats EngineStatsDelta(const engine::EngineStats& after,
   d.disk_stores = after.disk_stores - before.disk_stores;
   d.disk_lease_waits = after.disk_lease_waits - before.disk_lease_waits;
   d.disk_lease_takeovers = after.disk_lease_takeovers - before.disk_lease_takeovers;
-  d.disk_manifest_rebuilds = after.disk_manifest_rebuilds - before.disk_manifest_rebuilds;
   d.deserialize_seconds = after.deserialize_seconds - before.deserialize_seconds;
   d.serialize_seconds = after.serialize_seconds - before.serialize_seconds;
   d.verify_rejects = after.verify_rejects - before.verify_rejects;

@@ -29,17 +29,15 @@ namespace {
 constexpr const char* kFilePrefix = "nsfa-";
 constexpr const char* kFileSuffix = ".bin";
 constexpr const char* kLockSuffix = ".bin.lock";
-constexpr const char* kManifestName = "manifest.nsf";
-constexpr const char* kManifestHeader = "nsf-manifest v1";
 // Orphaned .tmp and .lock files (a writer died between write and rename, or
-// a lease holder crashed) older than this are reclaimed by the next manifest
-// rebuild scan; younger ones may still be in flight and are left alone.
+// a lease holder crashed) older than this are reclaimed by the next
+// directory walk; younger ones may still be in flight and are left alone.
 constexpr auto kStaleOrphanAge = std::chrono::minutes(10);
 
 // A published artifact file: "nsfa-<key>.bin" exactly — not an in-flight or
-// orphaned "nsfa-<key>.bin.tmp.N", a ".bin.lock" lease, or the manifest.
-// The single filter every manifest rebuild uses, so the enforced bound and
-// DirSizeBytes() always agree.
+// orphaned "nsfa-<key>.bin.tmp.<pid>.<N>" or a ".bin.lock" lease. The single
+// filter the directory walk uses, so the enforced bound and DirSizeBytes()
+// always agree.
 bool IsArtifactFile(const std::string& name) {
   return name.rfind(kFilePrefix, 0) == 0 && name.size() >= 4 &&
          name.compare(name.size() - 4, 4, kFileSuffix) == 0;
@@ -62,7 +60,7 @@ std::string FileNameForKey(uint64_t module_hash, uint64_t fingerprint) {
 }
 
 // Tiering-profile files: "nsfp-" so the artifact filter (and therefore the
-// manifest, the LRU bound, and eviction) never sees them. The name is hashed
+// byte counter, the LRU bound, and eviction) never sees them. The name is hashed
 // because workload names are arbitrary strings; FNV-1a is process-independent
 // (unlike std::hash) so warm processes find cold processes' files.
 constexpr const char* kProfilePrefix = "nsfp-";
@@ -106,29 +104,36 @@ bool ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
   return read == out->size();
 }
 
-bool WriteWholeFile(const std::string& path, const void* data, size_t size) {
-  FILE* f = std::fopen(path.c_str(), "wb");
+}  // namespace
+
+std::string UniqueTmpPath(const std::string& path) {
+  static std::atomic<uint64_t> tmp_counter{0};
+  return path + StrFormat(".tmp.%d.%llu", static_cast<int>(::getpid()),
+                          static_cast<unsigned long long>(tmp_counter.fetch_add(1)));
+}
+
+bool WriteFileAtomic(const std::string& path, const void* data, size_t size) {
+  std::string tmp = UniqueTmpPath(path);
+  FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     return false;
   }
   size_t written = size == 0 ? 0 : std::fwrite(data, 1, size, f);
   bool ok = std::fclose(f) == 0 && written == size;
+  std::error_code ec;
+  if (ok) {
+    fs::last_write_time(tmp, fs::file_time_type::clock::now(), ec);  // best effort
+    fs::rename(tmp, path, ec);
+    ok = !ec;
+  }
+  if (!ok) {
+    fs::remove(tmp, ec);
+  }
   return ok;
 }
 
-}  // namespace
-
 DiskCodeCache::DiskCodeCache(std::string dir, uint64_t max_bytes)
     : dir_(std::move(dir)), max_bytes_(max_bytes) {}
-
-DiskCodeCache::~DiskCodeCache() {
-  // Flush recency updates accumulated by Load() hits, so a fresh process
-  // (which trusts the manifest) inherits this one's LRU order.
-  std::lock_guard<std::mutex> lock(dir_mu_);
-  if (manifest_loaded_ && manifest_dirty_) {
-    PersistManifestLocked();
-  }
-}
 
 std::string DiskCodeCache::PathForKey(uint64_t module_hash, uint64_t fingerprint) const {
   return dir_ + "/" + FileNameForKey(module_hash, fingerprint);
@@ -145,46 +150,16 @@ void DiskCodeCache::SetLeaseTimingForTest(uint64_t stale_age_ms, uint64_t poll_m
   lease_wait_max_ms_ = wait_max_ms;
 }
 
-// --- manifest -------------------------------------------------------------
+// --- directory walk ------------------------------------------------------
 
-void DiskCodeCache::PersistManifestLocked() const {
-  std::string text = kManifestHeader;
-  text += '\n';
-  for (const auto& [name, entry] : manifest_) {
-    text += StrFormat("%s %llu %llu\n", name.c_str(),
-                      static_cast<unsigned long long>(entry.size),
-                      static_cast<unsigned long long>(entry.recency));
-  }
-  // Atomic publish, same discipline as artifacts: unique tmp, then rename.
-  static std::atomic<uint64_t> tmp_counter{0};
-  std::string path = dir_ + "/" + kManifestName;
-  std::string tmp = path + StrFormat(".tmp.%llu", static_cast<unsigned long long>(
-                                                      tmp_counter.fetch_add(1)));
-  if (!WriteWholeFile(tmp, text.data(), text.size())) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-    return;  // stays dirty; the next persist point retries
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return;
-  }
-  manifest_dirty_ = false;
-}
+struct DiskCodeCache::ArtifactFile {
+  std::string name;
+  uint64_t size = 0;
+  fs::file_time_type mtime;
+};
 
-void DiskCodeCache::RebuildManifestLocked() const {
-  manifest_.clear();
-  manifest_total_bytes_ = 0;
-  recency_clock_ = 0;
-  manifest_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  struct Scanned {
-    std::string name;
-    uint64_t size = 0;
-    fs::file_time_type mtime;
-  };
-  std::vector<Scanned> files;
+uint64_t DiskCodeCache::WalkLocked(std::vector<ArtifactFile>* files) const {
+  uint64_t total = 0;
   std::error_code ec;
   const auto now = fs::file_time_type::clock::now();
   for (const fs::directory_entry& entry : fs::directory_iterator(dir_, ec)) {
@@ -204,119 +179,22 @@ void DiskCodeCache::RebuildManifestLocked() const {
     if (!IsArtifactFile(name)) {
       continue;
     }
-    Scanned s;
-    s.name = std::move(name);
-    s.size = entry.file_size(stat_ec);
+    ArtifactFile f;
+    f.size = entry.file_size(stat_ec);
     if (stat_ec) {
       continue;
     }
-    s.mtime = entry.last_write_time(stat_ec);
+    f.mtime = entry.last_write_time(stat_ec);
     if (stat_ec) {
       continue;
     }
-    files.push_back(std::move(s));
-  }
-  // Seed the logical LRU clock from mtime order, so the rebuilt manifest
-  // preserves whatever recency the file system still knows about.
-  std::sort(files.begin(), files.end(),
-            [](const Scanned& a, const Scanned& b) { return a.mtime < b.mtime; });
-  for (const Scanned& s : files) {
-    manifest_[s.name] = ManifestEntry{s.size, ++recency_clock_};
-    manifest_total_bytes_ += s.size;
-  }
-  manifest_dirty_ = true;
-}
-
-namespace {
-
-// Parses a manifest file's text into (name -> {size, recency}). False on any
-// malformation — a truncated final line, a bad header, an entry that is not
-// an artifact name — so callers fall back to the directory scan.
-bool ParseManifestText(const std::string& text,
-                       std::map<std::string, uint64_t>* sizes,
-                       std::map<std::string, uint64_t>* recencies) {
-  size_t pos = 0;
-  bool first = true;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      return false;  // truncated final line: treat as corrupt
+    total += f.size;
+    if (files != nullptr) {
+      f.name = std::move(name);
+      files->push_back(std::move(f));
     }
-    std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (first) {
-      if (line != kManifestHeader) {
-        return false;
-      }
-      first = false;
-      continue;
-    }
-    char name[256];
-    unsigned long long size = 0, recency = 0;
-    if (std::sscanf(line.c_str(), "%255s %llu %llu", name, &size, &recency) != 3 ||
-        !IsArtifactFile(name)) {
-      return false;
-    }
-    (*sizes)[name] = size;
-    (*recencies)[name] = recency;
   }
-  return !first;
-}
-
-}  // namespace
-
-void DiskCodeCache::EnsureManifestLocked() const {
-  if (manifest_loaded_) {
-    return;
-  }
-  manifest_loaded_ = true;
-  std::vector<uint8_t> bytes;
-  std::map<std::string, uint64_t> sizes, recencies;
-  if (!ReadWholeFile(dir_ + "/" + kManifestName, &bytes) ||
-      !ParseManifestText(std::string(bytes.begin(), bytes.end()), &sizes, &recencies)) {
-    RebuildManifestLocked();
-    return;
-  }
-  for (const auto& [name, size] : sizes) {
-    uint64_t recency = recencies[name];
-    manifest_[name] = ManifestEntry{size, recency};
-    manifest_total_bytes_ += size;
-    recency_clock_ = std::max<uint64_t>(recency_clock_, recency);
-  }
-}
-
-void DiskCodeCache::MergeManifestFromDiskLocked() const {
-  std::vector<uint8_t> bytes;
-  std::map<std::string, uint64_t> sizes, recencies;
-  if (!ReadWholeFile(dir_ + "/" + kManifestName, &bytes) ||
-      !ParseManifestText(std::string(bytes.begin(), bytes.end()), &sizes, &recencies)) {
-    return;  // nothing usable to merge; memory stays authoritative
-  }
-  for (const auto& [name, size] : sizes) {
-    uint64_t recency = recencies[name];
-    auto it = manifest_.find(name);
-    if (it == manifest_.end()) {
-      // Stored by another process. If its file is already gone again, the
-      // eviction that follows drops the entry when removal fails.
-      manifest_[name] = ManifestEntry{size, recency};
-      manifest_total_bytes_ += size;
-      manifest_dirty_ = true;
-    } else if (recency > it->second.recency) {
-      it->second.recency = recency;  // touched more recently elsewhere
-      manifest_dirty_ = true;
-    }
-    recency_clock_ = std::max<uint64_t>(recency_clock_, recency);
-  }
-}
-
-void DiskCodeCache::ManifestEraseLocked(const std::string& name) const {
-  auto it = manifest_.find(name);
-  if (it == manifest_.end()) {
-    return;
-  }
-  manifest_total_bytes_ -= std::min(manifest_total_bytes_, it->second.size);
-  manifest_.erase(it);
-  manifest_dirty_ = true;
+  return total;
 }
 
 // --- artifact I/O ---------------------------------------------------------
@@ -326,8 +204,7 @@ bool DiskCodeCache::Load(uint64_t module_hash, uint64_t fingerprint, CompiledArt
     return false;
   }
   telemetry::Span span("disk.load", "engine");
-  std::string name = FileNameForKey(module_hash, fingerprint);
-  std::string path = dir_ + "/" + name;
+  std::string path = PathForKey(module_hash, fingerprint);
   std::vector<uint8_t> bytes;
   auto t0 = std::chrono::steady_clock::now();
   if (!ReadWholeFile(path, &bytes)) {
@@ -343,12 +220,6 @@ bool DiskCodeCache::Load(uint64_t module_hash, uint64_t fingerprint, CompiledArt
     // recompile that follows can repopulate a clean entry.
     std::error_code ec;
     fs::remove(path, ec);
-    {
-      std::lock_guard<std::mutex> lock(dir_mu_);
-      if (manifest_loaded_) {
-        ManifestEraseLocked(name);
-      }
-    }
     load_failures_.fetch_add(1, std::memory_order_relaxed);
     misses_.fetch_add(1, std::memory_order_relaxed);
     span.arg("outcome", "rejected");
@@ -364,25 +235,8 @@ bool DiskCodeCache::Load(uint64_t module_hash, uint64_t fingerprint, CompiledArt
     span.arg("outcome", "hit");
     span.arg("bytes", static_cast<uint64_t>(bytes.size()));
   }
-  // LRU touch: a hit makes this entry the newest — in the manifest (flushed
-  // at destruction, merged by whoever evicts next) and on disk via mtime,
-  // the ground truth manifest rebuilds fall back on. Loads are cold-path
-  // (once per key per process), so forcing the manifest in here never taxes
-  // a warm request. Failure is harmless (the file may have been evicted
-  // between read and touch).
-  {
-    std::lock_guard<std::mutex> lock(dir_mu_);
-    EnsureManifestLocked();
-    auto it = manifest_.find(name);
-    if (it != manifest_.end()) {
-      it->second.recency = ++recency_clock_;
-    } else {
-      // Stored by a process whose manifest write we never saw: adopt it.
-      manifest_[name] = ManifestEntry{static_cast<uint64_t>(bytes.size()), ++recency_clock_};
-      manifest_total_bytes_ += bytes.size();
-    }
-    manifest_dirty_ = true;
-  }
+  // LRU touch: a hit makes this file the newest by mtime. Failure is
+  // harmless (the file may have been evicted between read and touch).
   std::error_code ec;
   fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
   return true;
@@ -392,15 +246,8 @@ void DiskCodeCache::Discard(uint64_t module_hash, uint64_t fingerprint) {
   if (!enabled()) {
     return;
   }
-  std::string name = FileNameForKey(module_hash, fingerprint);
   std::error_code ec;
-  fs::remove(dir_ + "/" + name, ec);
-  {
-    std::lock_guard<std::mutex> lock(dir_mu_);
-    if (manifest_loaded_) {
-      ManifestEraseLocked(name);
-    }
-  }
+  fs::remove(PathForKey(module_hash, fingerprint), ec);
   load_failures_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -432,22 +279,10 @@ void DiskCodeCache::Store(const CompiledArtifact& artifact) {
   if (span.active()) {
     span.arg("bytes", static_cast<uint64_t>(bytes.size()));
   }
-  std::string name = FileNameForKey(artifact.module_hash, artifact.options_fingerprint);
-  std::string path = dir_ + "/" + name;
-  // Unique tmp name per (thread, store): two racing writers of one key both
-  // rename complete files; last rename wins and both are valid.
-  static std::atomic<uint64_t> tmp_counter{0};
-  std::string tmp = path + StrFormat(".tmp.%llu", static_cast<unsigned long long>(
-                                                      tmp_counter.fetch_add(1)));
-  if (!WriteWholeFile(tmp, bytes.data(), bytes.size())) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-    return;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
+  // Two racing writers of one key both rename complete files; last rename
+  // wins and both are valid.
+  if (!WriteFileAtomic(PathForKey(artifact.module_hash, artifact.options_fingerprint),
+                       bytes.data(), bytes.size())) {
     return;
   }
   uint64_t ser_ns = NanosSince(t0);
@@ -456,22 +291,17 @@ void DiskCodeCache::Store(const CompiledArtifact& artifact) {
   static telemetry::Histogram& serialize_ns =
       *telemetry::MetricsRegistry::Global().GetHistogram("engine.disk.serialize_ns");
   serialize_ns.Record(ser_ns);
-  // Account the new entry in the manifest (loading it first if this is the
-  // first touch — a one-time seed that later stores never repeat) and
-  // enforce the size bound off the manifest total: no directory walk on
-  // either side of the budget. Other processes' concurrent stores go unseen
-  // until a rebuild — that drift only delays eviction, never corrupts it,
-  // because eviction drops entries whose files are already gone.
+  // Count the new bytes and enforce the bound. The first store seeds the
+  // counter with a walk, which already sees the file just renamed in.
   std::lock_guard<std::mutex> lock(dir_mu_);
-  EnsureManifestLocked();
-  ManifestEraseLocked(name);  // re-store of an existing key: replace, not add
-  manifest_[name] = ManifestEntry{bytes.size(), ++recency_clock_};
-  manifest_total_bytes_ += bytes.size();
-  manifest_dirty_ = true;
-  if (max_bytes_ != 0 && manifest_total_bytes_ > max_bytes_) {
-    EvictToFit();  // persists the manifest
+  if (sized_) {
+    total_bytes_ += bytes.size();
   } else {
-    PersistManifestLocked();
+    total_bytes_ = WalkLocked(nullptr);
+    sized_ = true;
+  }
+  if (max_bytes_ != 0 && total_bytes_ > max_bytes_) {
+    EvictToFit();
   }
 }
 
@@ -511,22 +341,7 @@ void DiskCodeCache::StoreProfile(const std::string& name, const Profile& profile
     }
   }
   std::vector<uint8_t> bytes = profile.SerializeBinary();
-  std::string path = ProfilePathForName(name);
-  // Atomic publish, same discipline as artifacts; racing writers of one name
-  // both rename complete files and last rename wins.
-  static std::atomic<uint64_t> tmp_counter{0};
-  std::string tmp = path + StrFormat(".tmp.%llu", static_cast<unsigned long long>(
-                                                      tmp_counter.fetch_add(1)));
-  if (!WriteWholeFile(tmp, bytes.data(), bytes.size())) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-    return;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-  }
+  WriteFileAtomic(ProfilePathForName(name), bytes.data(), bytes.size());
 }
 
 uint64_t DiskCodeCache::DirSizeBytes() const {
@@ -534,42 +349,38 @@ uint64_t DiskCodeCache::DirSizeBytes() const {
     return 0;
   }
   std::lock_guard<std::mutex> lock(dir_mu_);
-  EnsureManifestLocked();
-  return manifest_total_bytes_;
+  if (!sized_) {
+    total_bytes_ = WalkLocked(nullptr);
+    sized_ = true;
+  }
+  return total_bytes_;
 }
 
 void DiskCodeCache::EvictToFit() {
-  // Caller holds dir_mu_ with the manifest loaded. LRU by manifest recency;
-  // cross-process races only cause removals of already-gone files, which
-  // just drop the stale manifest entry.
+  // Caller holds dir_mu_. LRU by file mtime, name breaking ties; the walk
+  // sees every process's stores and touches. A file another process removed
+  // between the walk and our remove still counts as reclaimed.
   telemetry::Span span("disk.evict", "engine");
-  // Fold in other processes' persisted view first, so their LRU touches and
-  // stores are honored before anything is chosen for removal.
-  MergeManifestFromDiskLocked();
+  std::vector<ArtifactFile> files;
+  total_bytes_ = WalkLocked(&files);
+  std::sort(files.begin(), files.end(), [](const ArtifactFile& a, const ArtifactFile& b) {
+    return a.mtime != b.mtime ? a.mtime < b.mtime : a.name < b.name;
+  });
   uint64_t evicted = 0;
-  std::vector<std::pair<uint64_t, std::string>> order;  // (recency, name)
-  order.reserve(manifest_.size());
-  for (const auto& [name, entry] : manifest_) {
-    order.emplace_back(entry.recency, name);
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [recency, name] : order) {
-    if (manifest_total_bytes_ <= max_bytes_) {
+  for (const ArtifactFile& f : files) {
+    if (total_bytes_ <= max_bytes_) {
       break;
     }
     std::error_code rm_ec;
-    if (fs::remove(dir_ + "/" + name, rm_ec) && !rm_ec) {
+    if (fs::remove(dir_ + "/" + f.name, rm_ec) && !rm_ec) {
       evictions_.fetch_add(1, std::memory_order_relaxed);
       evicted++;
     }
-    // Drop the entry either way: if removal failed because another process
-    // already evicted the file, the space is reclaimed all the same.
-    ManifestEraseLocked(name);
+    total_bytes_ -= f.size;
   }
-  PersistManifestLocked();
   if (span.active()) {
     span.arg("evicted", evicted);
-    span.arg("dir_bytes", manifest_total_bytes_);
+    span.arg("dir_bytes", total_bytes_);
   }
 }
 
@@ -669,7 +480,6 @@ DiskCacheStats DiskCodeCache::stats() const {
   s.stores = stores_.load(std::memory_order_relaxed);
   s.lease_waits = lease_waits_.load(std::memory_order_relaxed);
   s.lease_takeovers = lease_takeovers_.load(std::memory_order_relaxed);
-  s.manifest_rebuilds = manifest_rebuilds_.load(std::memory_order_relaxed);
   s.deserialize_seconds =
       static_cast<double>(deserialize_nanos_.load(std::memory_order_relaxed)) * 1e-9;
   s.serialize_seconds =
@@ -685,7 +495,6 @@ void DiskCodeCache::ResetStats() {
   stores_.store(0, std::memory_order_relaxed);
   lease_waits_.store(0, std::memory_order_relaxed);
   lease_takeovers_.store(0, std::memory_order_relaxed);
-  manifest_rebuilds_.store(0, std::memory_order_relaxed);
   deserialize_nanos_.store(0, std::memory_order_relaxed);
   serialize_nanos_.store(0, std::memory_order_relaxed);
 }

@@ -6,9 +6,9 @@
 //
 // Safety properties (the disk is shared state — other threads, other
 // processes, and stray editors all touch it):
-//   - Writes are atomic: serialize to a uniquely named .tmp file in the same
-//     directory, then rename() over the final name. Readers never observe a
-//     half-written artifact.
+//   - Writes are atomic (WriteFileAtomic): write a uniquely named .tmp file
+//     in the same directory, then rename() it over the final name. Readers
+//     never observe a half-written file.
 //   - Loads reject anything the codec rejects (bad magic/version/checksum,
 //     truncation) AND any artifact whose stored key disagrees with the file
 //     name's key; rejected files are deleted and the caller recompiles.
@@ -24,25 +24,25 @@
 //     loads the winner's artifact. A lease whose file outlives its holder
 //     (crash) is taken over once it looks stale.
 //
-// The manifest: size accounting and eviction order are kept in a persisted
-// index file (`manifest.nsf`: one line per artifact with its size and a
-// logical recency stamp) instead of walking the directory on every store
-// that crosses the budget. The manifest is an accelerator, never a
-// correctness dependency — when it is missing, unreadable, or disagrees with
-// itself, it is rebuilt from one directory scan (which also reclaims
-// orphaned .tmp and stale .lock files), and entries that turn out to be
-// stale (the file vanished under another process) are simply dropped.
+// The file system is the tier's only record. A file's mtime is its LRU
+// recency: stores stamp it at publish time and load hits touch it. Size is
+// one in-memory byte counter, seeded by a directory walk on the first store
+// (or DirSizeBytes()) and reset to the surviving bytes by every eviction
+// walk; in between it only grows by this instance's own stores. Drift is
+// benign: other processes' stores are seen at the next walk, and a re-store
+// or discard overestimates, which only triggers an earlier walk. The walk
+// also reclaims orphaned .tmp and stale .lock files.
 //
-// Thread-safe. All counters are atomics; manifest state and eviction are
+// Thread-safe. All counters are atomics; the byte counter and eviction are
 // serialized in-process by a mutex so two stores don't double-delete.
 #ifndef SRC_ENGINE_DISK_CACHE_H_
 #define SRC_ENGINE_DISK_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "src/codegen/artifact.h"
 
@@ -60,7 +60,6 @@ struct DiskCacheStats {
   uint64_t stores = 0;         // artifacts written
   uint64_t lease_waits = 0;      // BeginCompile found another holder and waited
   uint64_t lease_takeovers = 0;  // stale lease files forcibly removed
-  uint64_t manifest_rebuilds = 0;  // manifest missing/corrupt -> directory scan
   double deserialize_seconds = 0;  // wall time decoding accepted artifacts
   double serialize_seconds = 0;    // wall time encoding + writing artifacts
 };
@@ -70,17 +69,15 @@ class DiskCodeCache {
   // An empty `dir` disables the tier (every call becomes a cheap no-op).
   // The directory is created on first use. max_bytes == 0 means unbounded.
   DiskCodeCache(std::string dir, uint64_t max_bytes);
-  ~DiskCodeCache();  // flushes pending manifest recency updates
 
   bool enabled() const { return !dir_.empty(); }
   const std::string& dir() const { return dir_; }
   uint64_t max_bytes() const { return max_bytes_; }
 
   // Loads and decodes the artifact for the key. True on an accepted artifact
-  // (counted as a hit; the entry's recency is refreshed for LRU, on disk via
-  // the file mtime and in the manifest). False on a miss or any rejection —
-  // rejected files are deleted so they are not re-parsed on every future
-  // miss.
+  // (counted as a hit; the file's mtime is touched, refreshing its LRU
+  // recency). False on a miss or any rejection — rejected files are deleted
+  // so they are not re-parsed on every future miss.
   bool Load(uint64_t module_hash, uint64_t fingerprint, CompiledArtifact* out);
 
   // Serializes and atomically publishes the artifact, then enforces the size
@@ -97,7 +94,7 @@ class DiskCodeCache {
   // Warm-up Profiles (src/profile/profile.h) stored next to the artifacts as
   //   nsfp-<fnv1a(workload name):016x>.bin
   // so a warm process seeds its tiering policy from disk and skips the
-  // interpreter warm-up. Deliberately OUTSIDE the manifest and the LRU
+  // interpreter warm-up. Deliberately OUTSIDE the byte counter and the LRU
   // bound: profiles are tiny, and evicting one would silently reintroduce a
   // warm-up pause. Same safety discipline as artifacts: atomic tmp+rename
   // stores, parse-rejected files deleted, failures never fatal.
@@ -124,8 +121,8 @@ class DiskCodeCache {
   // stat, no decode, no hit/miss accounting.
   bool Exists(uint64_t module_hash, uint64_t fingerprint) const;
 
-  // Sum of artifact bytes currently accounted in the manifest (seeded from a
-  // directory scan when no manifest exists yet).
+  // Artifact bytes per the in-memory counter (seeded from a directory walk
+  // on the first call or store).
   uint64_t DirSizeBytes() const;
 
   // Full path of the artifact file for a key (exposed for tests that corrupt
@@ -143,36 +140,22 @@ class DiskCodeCache {
   void ResetStats();
 
  private:
-  struct ManifestEntry {
-    uint64_t size = 0;
-    uint64_t recency = 0;  // logical LRU clock; larger = more recent
-  };
-
   void EvictToFit();
   bool EnsureDirLocked();
-  // Loads the manifest into memory, rebuilding it from a directory scan when
-  // the file is missing or fails to parse. Idempotent after the first call.
-  void EnsureManifestLocked() const;
-  void RebuildManifestLocked() const;
-  // Folds the persisted manifest into memory (max recency per entry; unseen
-  // entries adopted) so eviction honors other processes' LRU touches and
-  // stores without walking the directory.
-  void MergeManifestFromDiskLocked() const;
-  void PersistManifestLocked() const;
-  void ManifestEraseLocked(const std::string& name) const;
+  // Lists published artifacts, reclaiming stale orphans on the way, and
+  // returns their total bytes; `files` (optional) receives the artifacts.
+  struct ArtifactFile;
+  uint64_t WalkLocked(std::vector<ArtifactFile>* files) const;
 
   std::string dir_;
   uint64_t max_bytes_;
 
-  // Guards dir_ready_ and all manifest state. Mutable because read-side
-  // accessors (DirSizeBytes, Load's recency touch) lazily load the manifest.
+  // Guards dir_ready_ and the byte counter. Mutable because DirSizeBytes()
+  // lazily seeds the counter.
   mutable std::mutex dir_mu_;
   mutable bool dir_ready_ = false;  // directory creation attempted and succeeded
-  mutable bool manifest_loaded_ = false;
-  mutable bool manifest_dirty_ = false;  // in-memory newer than manifest.nsf
-  mutable uint64_t recency_clock_ = 0;   // max recency ever issued
-  mutable uint64_t manifest_total_bytes_ = 0;
-  mutable std::map<std::string, ManifestEntry> manifest_;  // file name -> entry
+  mutable bool sized_ = false;      // total_bytes_ seeded by a walk
+  mutable uint64_t total_bytes_ = 0;
 
   // Lease timing (test-tunable): a lock file older than stale_age is presumed
   // orphaned by a crashed holder and taken over; waiters poll every poll_ms;
@@ -188,10 +171,22 @@ class DiskCodeCache {
   std::atomic<uint64_t> stores_{0};
   std::atomic<uint64_t> lease_waits_{0};
   std::atomic<uint64_t> lease_takeovers_{0};
-  mutable std::atomic<uint64_t> manifest_rebuilds_{0};
   std::atomic<uint64_t> deserialize_nanos_{0};
   std::atomic<uint64_t> serialize_nanos_{0};
 };
+
+// Atomically publishes `size` bytes at `path`: writes a unique tmp file
+// next to it, stamps its mtime from fs::file_time_type::clock (the clock
+// Load's LRU touch uses, at full precision — kernel-set stamps are coarse
+// enough for back-to-back stores to tie), and renames it into place. On any
+// failure the tmp file is removed and false returned; `path` keeps its
+// previous contents.
+bool WriteFileAtomic(const std::string& path, const void* data, size_t size);
+
+// The next tmp name WriteFileAtomic would use for `path`:
+// "<path>.tmp.<pid>.<N>", unique across threads and processes sharing a
+// directory (including a fork()ed child, whose counter starts equal).
+std::string UniqueTmpPath(const std::string& path);
 
 }  // namespace engine
 }  // namespace nsf

@@ -486,12 +486,6 @@ CodegenOptions TieringPolicy::TierUp(const WorkloadSpec& spec, const CodegenOpti
   return manager_.TierUp(base, published);
 }
 
-uint64_t TieringPolicy::ProfiledWork(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Profile* p = manager_.CachedProfile(name);
-  return p != nullptr ? p->total_instrs() : 0;
-}
-
 bool TieringPolicy::HasProfile(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   return manager_.CachedProfile(name) != nullptr;
@@ -579,26 +573,14 @@ bool TieringPolicy::SaveHistory(const std::string& path) const {
     return false;  // nothing observed; leave any previous file untouched
   }
   telemetry::Span span("history.save", "engine");
-  // Atomic publish, mirroring DiskCodeCache::Store: readers (and a racing
-  // saver in another process) only ever see a complete table.
-  static std::atomic<uint64_t> tmp_counter{0};
-  std::string tmp = path + StrFormat(".tmp.%llu", static_cast<unsigned long long>(
-                                                      tmp_counter.fetch_add(1)));
-  FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
+  std::string text;
   for (const auto& [name, h] : snapshot) {
-    std::fprintf(f, "%llu %.9g %s\n", static_cast<unsigned long long>(h.runs),
-                 h.total_sim_seconds, name.c_str());
+    text += StrFormat("%llu %.9g %s\n", static_cast<unsigned long long>(h.runs),
+                      h.total_sim_seconds, name.c_str());
   }
-  bool ok = std::fclose(f) == 0;
-  if (ok) {
-    ok = std::rename(tmp.c_str(), path.c_str()) == 0;
-  }
-  if (!ok) {
-    std::remove(tmp.c_str());
-  }
+  // Atomic publish: readers (and a racing saver in another process) only
+  // ever see a complete table.
+  bool ok = WriteFileAtomic(path, text.data(), text.size());
   if (ok) {
     // Only the runs captured in the snapshot are durable; recordings that
     // raced in since stay dirty for the next flush.
@@ -870,7 +852,6 @@ EngineStats Engine::Stats() const {
   s.disk_stores = d.stores;
   s.disk_lease_waits = d.lease_waits;
   s.disk_lease_takeovers = d.lease_takeovers;
-  s.disk_manifest_rebuilds = d.manifest_rebuilds;
   s.deserialize_seconds = d.deserialize_seconds;
   s.serialize_seconds = d.serialize_seconds;
   s.verify_rejects = cache_.verify_rejects();

@@ -308,11 +308,6 @@ class TieringPolicy {
   // the cached node-stable profile either way. Thread-safe.
   const Profile* InsertProfile(const std::string& name, Profile profile);
 
-  // Profiled work estimate for LPT batch scheduling: the warm-up profile's
-  // total interpreted instruction count (monotone in simulated seconds), or
-  // 0 when the workload was never profiled. Thread-safe, never profiles.
-  uint64_t ProfiledWork(const std::string& name) const;
-
   // --- Run-history table (observed per-key simulated seconds) ---
   // Every batch run records its workload's simulated seconds here;
   // ExecutorPool's LPT schedule prefers these observed means over the
@@ -419,7 +414,6 @@ struct EngineStats {
   uint64_t disk_stores = 0;          // artifacts persisted
   uint64_t disk_lease_waits = 0;     // cold compiles that waited on another process's lease
   uint64_t disk_lease_takeovers = 0;  // stale lease files forcibly reclaimed
-  uint64_t disk_manifest_rebuilds = 0;  // manifest missing/corrupt -> directory scan
   double deserialize_seconds = 0;    // wall time decoding disk artifacts
   double serialize_seconds = 0;      // wall time encoding + writing artifacts
   // Disk artifacts that passed the codec's checksum but failed semantic

@@ -340,7 +340,7 @@ void ServingLoop::GeneratorMain(LoopState* loop) {
         // Dispatch deadline for SLO-aware scheduling: once this request has
         // aged through slo_urgency_fraction of its SLO budget, waiting for
         // its DRR turn risks the p99 — PopUrgent serves it first.
-        if (config_.slo_aware_dispatch && cfg.p99_slo_seconds > 0) {
+        if (cfg.p99_slo_seconds > 0) {
           item.deadline_seconds =
               item.enqueue_seconds + config_.slo_urgency_fraction * cfg.p99_slo_seconds;
         }
@@ -396,9 +396,7 @@ void ServingLoop::WorkerMain(LoopState* loop, int worker_index) {
       }
       // SLO-aware dispatch first: a head past its deadline preempts DRR
       // order. Otherwise the usual deficit rotation picks.
-      if (config_.slo_aware_dispatch) {
-        deadline_dispatch = loop->queue.PopUrgent(SecondsSince(loop->start), &item);
-      }
+      deadline_dispatch = loop->queue.PopUrgent(SecondsSince(loop->start), &item);
       if (!deadline_dispatch) {
         loop->queue.Pop(&item);
       }

@@ -258,7 +258,6 @@ struct ServingConfig {
   // slo_urgency_fraction of its tenant's p99 SLO budget, workers serve it
   // deadline-first instead of waiting for its DRR turn (DrrQueue::PopUrgent).
   // Only affects tenants with p99_slo_seconds set; pure DRR otherwise.
-  bool slo_aware_dispatch = true;
   double slo_urgency_fraction = 0.75;
 };
 

@@ -1,14 +1,17 @@
-// Cross-process coordination on one shared cache directory: the compile
+// The disk tier on one shared cache directory: the cross-process compile
 // lease (exactly one compiler per cold key; losers wait and load the
-// winner's artifact; crashed holders' stale leases are taken over) and the
-// persisted manifest (size accounting and LRU order without directory
-// walks, rebuilt from a scan when missing or corrupt).
+// winner's artifact; crashed holders' stale leases are taken over), LRU
+// eviction by file mtime with a walk-seeded byte counter, and the faults the
+// directory must survive (writers killed between tmp write and rename, an
+// unusable cache path, tmp-name collisions across fork()).
 //
-// "Processes" here are separate DiskCodeCache / Engine instances sharing a
-// directory — from the filesystem's point of view (the only state the lease
-// and manifest protocols use), that is exactly what two processes look like.
+// "Processes" here are mostly separate DiskCodeCache / Engine instances
+// sharing a directory — from the filesystem's point of view (the only state
+// the lease and eviction protocols use), that is exactly what two processes
+// look like.
 #include "src/engine/disk_cache.h"
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -17,11 +20,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "src/builder/builder.h"
 #include "src/engine/engine.h"
+#include "src/wasm/artifact_codec.h"
 #include "src/wasm/encoder.h"
 
 namespace nsf {
@@ -170,97 +175,164 @@ TEST(DiskLease, UncontendedColdCompileStillCountsOneMiss) {
   EXPECT_EQ(s.disk_stores, 1u);
 }
 
-// --- manifest -------------------------------------------------------------
+// --- LRU by mtime ---------------------------------------------------------
 
-TEST(DiskManifest, PersistedOnStoreAndTrustedByFreshInstance) {
-  TempCacheDir dir("manifest");
+// Sum of published artifact sizes: the ground truth the counter must track.
+uint64_t ArtifactBytesOnDisk(const std::string& dir) {
   uint64_t total = 0;
-  {
-    engine::Engine writer(DiskConfig(dir.path));
-    ASSERT_TRUE(writer.Compile(SumSquaresModule(1), CodegenOptions::ChromeV8())->ok);
-    ASSERT_TRUE(writer.Compile(SumSquaresModule(2), CodegenOptions::ChromeV8())->ok);
-    total = writer.cache().disk().DirSizeBytes();
-    ASSERT_GT(total, 0u);
-    EXPECT_EQ(writer.Stats().disk_manifest_rebuilds, 1u)
-        << "only the first store's seed scan (no manifest existed yet)";
-  }
-  ASSERT_TRUE(fs::exists(dir.path + "/manifest.nsf"));
-
-  // A fresh instance answers size questions from the manifest alone.
-  engine::DiskCodeCache fresh(dir.path, 0);
-  EXPECT_EQ(fresh.DirSizeBytes(), total);
-  EXPECT_EQ(fresh.stats().manifest_rebuilds, 0u) << "parsed, not rescanned";
-}
-
-TEST(DiskManifest, MissingManifestRebuiltFromScanAndRepersisted) {
-  TempCacheDir dir("manifest-missing");
-  uint64_t total = 0;
-  {
-    engine::Engine writer(DiskConfig(dir.path));
-    ASSERT_TRUE(writer.Compile(SumSquaresModule(1), CodegenOptions::ChromeV8())->ok);
-    total = writer.cache().disk().DirSizeBytes();
-  }
-  fs::remove(dir.path + "/manifest.nsf");
-  {
-    engine::DiskCodeCache fresh(dir.path, 0);
-    EXPECT_EQ(fresh.DirSizeBytes(), total) << "scan fallback must agree";
-    EXPECT_EQ(fresh.stats().manifest_rebuilds, 1u);
-  }
-  // The rebuilt manifest was flushed at destruction for the next process.
-  EXPECT_TRUE(fs::exists(dir.path + "/manifest.nsf"));
-}
-
-TEST(DiskManifest, CorruptManifestRebuiltFromScan) {
-  TempCacheDir dir("manifest-corrupt");
-  uint64_t total = 0;
-  {
-    engine::Engine writer(DiskConfig(dir.path));
-    ASSERT_TRUE(writer.Compile(SumSquaresModule(1), CodegenOptions::ChromeV8())->ok);
-    ASSERT_TRUE(writer.Compile(SumSquaresModule(2), CodegenOptions::ChromeV8())->ok);
-    total = writer.cache().disk().DirSizeBytes();
-  }
-  for (const char* garbage :
-       {"not a manifest at all\n", "nsf-manifest v1\nnsfa-zz zz zz\n",
-        "nsf-manifest v1\ntruncated-line-without-newline"}) {
-    FILE* f = fopen((dir.path + "/manifest.nsf").c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    fputs(garbage, f);
-    fclose(f);
-    engine::DiskCodeCache fresh(dir.path, 0);
-    EXPECT_EQ(fresh.DirSizeBytes(), total) << "garbage: " << garbage;
-    EXPECT_EQ(fresh.stats().manifest_rebuilds, 1u);
-  }
-}
-
-TEST(DiskManifest, EvictionDropsEntriesWhoseFilesAreAlreadyGone) {
-  TempCacheDir dir("manifest-ghost");
-  // Two artifacts on disk, then one deleted behind the manifest's back (an
-  // "eviction by another process"). The next bounded store must converge:
-  // the ghost entry is dropped, not double-counted, and the bound holds.
-  uint64_t one = 0;
-  {
-    engine::Engine writer(DiskConfig(dir.path));
-    ASSERT_TRUE(writer.Compile(SumSquaresModule(1), CodegenOptions::ChromeV8())->ok);
-    one = writer.cache().disk().DirSizeBytes();
-    ASSERT_TRUE(writer.Compile(SumSquaresModule(2), CodegenOptions::ChromeV8())->ok);
-    uint64_t fp = CodegenOptions::ChromeV8().Fingerprint();
-    fs::remove(writer.cache().disk().PathForKey(HashModule(SumSquaresModule(1)), fp));
-  }
-  const uint64_t budget = one * 2 + one / 2;  // fits two artifacts
-  engine::Engine eng(DiskConfig(dir.path, budget));
-  ASSERT_TRUE(eng.Compile(SumSquaresModule(3), CodegenOptions::ChromeV8())->ok);
-  ASSERT_TRUE(eng.Compile(SumSquaresModule(4), CodegenOptions::ChromeV8())->ok);
-  // Real bytes on disk respect the bound even though the manifest briefly
-  // carried a ghost entry.
-  uint64_t real = 0;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
+  for (const auto& entry : fs::directory_iterator(dir)) {
     std::string name = entry.path().filename().string();
     if (name.rfind("nsfa-", 0) == 0 && name.size() > 4 &&
         name.compare(name.size() - 4, 4, ".bin") == 0) {
-      real += entry.file_size();
+      total += entry.file_size();
     }
   }
+  return total;
+}
+
+TEST(DiskLru, BackToBackStoresEvictInStoreOrder) {
+  TempCacheDir dir("same-tick");
+  const CodegenOptions opts = CodegenOptions::ChromeV8();
+  CompiledArtifact a = BuildArtifact(SumSquaresModule(1), opts);
+  CompiledArtifact b = BuildArtifact(SumSquaresModule(2), opts);
+  CompiledArtifact c = BuildArtifact(SumSquaresModule(3), opts);
+  engine::DiskCodeCache probe("", 0);
+  // Store the file whose NAME sorts last first: if the two stores' mtimes
+  // tied, the (mtime, name) order would evict the second one instead.
+  if (probe.PathForKey(a.module_hash, a.options_fingerprint) <
+      probe.PathForKey(b.module_hash, b.options_fingerprint)) {
+    std::swap(a, b);
+  }
+  const uint64_t one = SerializeArtifact(a).size();
+  engine::DiskCodeCache cache(dir.path, one * 2 + one / 2);  // fits two
+  cache.Store(a);
+  cache.Store(b);  // same clock tick as `a` for a coarse kernel timestamp
+  cache.Store(c);
+  EXPECT_FALSE(fs::exists(cache.PathForKey(a.module_hash, a.options_fingerprint)))
+      << "the older of two back-to-back stores must go first";
+  EXPECT_TRUE(fs::exists(cache.PathForKey(b.module_hash, b.options_fingerprint)));
+  EXPECT_TRUE(fs::exists(cache.PathForKey(c.module_hash, c.options_fingerprint)));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.DirSizeBytes(), ArtifactBytesOnDisk(dir.path));
+}
+
+TEST(DiskLru, EvictionDropsEntriesWhoseFilesAreAlreadyGone) {
+  TempCacheDir dir("ghost");
+  // Two artifacts counted, then one deleted behind the counter's back (an
+  // "eviction by another process"). The next bounded stores must converge:
+  // the eviction walk resyncs the counter and the bound holds.
+  uint64_t one = 0;
+  {
+    engine::Engine probe(DiskConfig(dir.path));
+    ASSERT_TRUE(probe.Compile(SumSquaresModule(0), CodegenOptions::ChromeV8())->ok);
+    one = probe.cache().disk().DirSizeBytes();
+  }
+  fs::remove_all(dir.path);
+  const uint64_t budget = one * 2 + one / 2;  // fits two artifacts
+  engine::Engine eng(DiskConfig(dir.path, budget));
+  ASSERT_TRUE(eng.Compile(SumSquaresModule(1), CodegenOptions::ChromeV8())->ok);
+  ASSERT_TRUE(eng.Compile(SumSquaresModule(2), CodegenOptions::ChromeV8())->ok);
+  uint64_t fp = CodegenOptions::ChromeV8().Fingerprint();
+  fs::remove(eng.cache().disk().PathForKey(HashModule(SumSquaresModule(1)), fp));
+  ASSERT_TRUE(eng.Compile(SumSquaresModule(3), CodegenOptions::ChromeV8())->ok);
+  ASSERT_TRUE(eng.Compile(SumSquaresModule(4), CodegenOptions::ChromeV8())->ok);
+  // Real bytes on disk respect the bound even though the counter briefly
+  // carried the vanished file, and the last walk left the counter exact.
+  uint64_t real = ArtifactBytesOnDisk(dir.path);
   EXPECT_LE(real, budget);
+  EXPECT_EQ(eng.cache().disk().DirSizeBytes(), real);
+}
+
+// --- fault injection ------------------------------------------------------
+
+void PlantFile(const std::string& path, fs::file_time_type mtime) {
+  FILE* f = fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr) << path;
+  fputs("orphaned bytes that must never be counted\n", f);
+  fclose(f);
+  fs::last_write_time(path, mtime);
+}
+
+TEST(DiskFault, CrashBetweenTmpWriteAndRenameIsReclaimedByTheWalk) {
+  TempCacheDir dir("orphans");
+  fs::create_directories(dir.path);
+  engine::DiskCodeCache cache(dir.path, 0);
+  // What writers and lease holders killed mid-flight leave behind: a tmp
+  // file that never got renamed and a lease nobody will release, both an
+  // hour old, plus a fresh tmp file a live writer may still rename.
+  const auto now = fs::file_time_type::clock::now();
+  const std::string stale_tmp = cache.PathForKey(5, 6) + ".tmp.4242.0";
+  const std::string stale_lock = cache.LockPathForKey(5, 6);
+  const std::string fresh_tmp = cache.PathForKey(7, 8) + ".tmp.4243.0";
+  PlantFile(stale_tmp, now - std::chrono::hours(1));
+  PlantFile(stale_lock, now - std::chrono::hours(1));
+  PlantFile(fresh_tmp, now);
+
+  cache.Store(BuildArtifact(SumSquaresModule(1), CodegenOptions::ChromeV8()));
+  EXPECT_FALSE(fs::exists(stale_tmp));
+  EXPECT_FALSE(fs::exists(stale_lock));
+  EXPECT_TRUE(fs::exists(fresh_tmp)) << "a young tmp file may belong to a live writer";
+  EXPECT_EQ(cache.DirSizeBytes(), ArtifactBytesOnDisk(dir.path));
+}
+
+TEST(DiskFault, UnusableCacheDirectoryNeverFailsCompileOrRun) {
+  TempCacheDir dir("not-a-dir");
+  {
+    // A regular file where the directory should be: no directory can be
+    // created there (unlike chmod, this holds even for root).
+    FILE* f = fopen(dir.path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    fclose(f);
+  }
+  engine::Engine eng(DiskConfig(dir.path));
+  engine::CompiledModuleRef code = eng.Compile(SumSquaresModule(5), CodegenOptions::ChromeV8());
+  ASSERT_TRUE(code->ok) << code->error;
+  engine::Session session(&eng);
+  engine::InstanceOptions opts;
+  opts.entry = "sum_squares";
+  std::string err;
+  auto instance = session.Instantiate(code, opts, &err);
+  ASSERT_NE(instance, nullptr) << err;
+  engine::RunOutcome run = instance->RunExport("sum_squares", {11});
+  ASSERT_TRUE(run.ok) << run.error;
+  EXPECT_EQ(eng.Stats().disk_stores, 0u);
+  EXPECT_EQ(eng.Stats().compiles, 1u);
+
+  eng.tiering().RecordRun("sum_squares", run.seconds);
+  EXPECT_FALSE(eng.SaveRunHistory());
+  EXPECT_TRUE(fs::is_regular_file(dir.path)) << "the blocking file is left alone";
+}
+
+TEST(DiskFault, ForkedWritersBuildDistinctTmpNames) {
+  // Both sides of a fork() start from the same tmp counter, so a counter-only
+  // name would collide in lockstep; the pid keeps them apart.
+  const std::string path = "/cache/run_history";
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    std::string name = engine::UniqueTmpPath(path);
+    ssize_t n = ::write(fds[1], name.data(), name.size());
+    ::_exit(n == static_cast<ssize_t>(name.size()) ? 0 : 1);
+  }
+  ::close(fds[1]);
+  std::string parent_name = engine::UniqueTmpPath(path);
+  std::string child_name;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::read(fds[0], buf, sizeof(buf))) > 0) {
+    child_name.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_NE(parent_name, child_name);
+  // Both still carry the ".tmp." marker the orphan walk looks for.
+  EXPECT_EQ(child_name.rfind(path + ".tmp.", 0), 0u) << child_name;
+  EXPECT_EQ(parent_name.rfind(path + ".tmp.", 0), 0u) << parent_name;
 }
 
 }  // namespace

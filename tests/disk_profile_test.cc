@@ -1,8 +1,8 @@
-// Tiering-profile persistence in DiskCodeCache (satellite of the continuous
-// tiering PR): profiles ride next to the code artifacts as nsfp- files, are
-// invisible to the manifest/LRU that governs nsfa- artifacts, survive to the
-// next "process" (fresh Engine on the same directory), and let that warm
-// process skip the interpreter warm-up entirely.
+// Tiering-profile persistence in DiskCodeCache: profiles ride next to the
+// code artifacts as nsfp- files, are invisible to the byte counter and LRU
+// bound that govern nsfa- artifacts, survive to the next "process" (fresh
+// Engine on the same directory), and let that warm process skip the
+// interpreter warm-up entirely.
 #include "src/engine/disk_cache.h"
 
 #include <unistd.h>
@@ -108,7 +108,7 @@ TEST(DiskProfile, ProfilesAreInvisibleToArtifactAccounting) {
   engine::DiskCodeCache cache(dir.path, 0);
   const uint64_t before = cache.DirSizeBytes();
   cache.StoreProfile("big", MakeProfile());
-  // nsfp- files live outside the manifest: no store counted, no size
+  // nsfp- files live outside the byte counter: no store counted, no size
   // accounted, nothing for the LRU to evict.
   EXPECT_EQ(cache.DirSizeBytes(), before);
   EXPECT_EQ(cache.stats().stores, 0u);

@@ -431,8 +431,9 @@ TEST(ExecutorPool, LptSchedulesByProfiledWorkFifoKeepsOrder) {
   ASSERT_TRUE(err.empty()) << err;
   eng.TierUp(big, CodegenOptions::ChromeV8(), &err);
   ASSERT_TRUE(err.empty()) << err;
-  EXPECT_GT(eng.tiering().ProfiledWork("lpt_big"), eng.tiering().ProfiledWork("lpt_small"));
-  EXPECT_EQ(eng.tiering().ProfiledWork("never_profiled"), 0u);
+  // No run history yet, so the estimate falls back to the warm-up profile.
+  EXPECT_GT(eng.tiering().EstimateSeconds("lpt_big"), eng.tiering().EstimateSeconds("lpt_small"));
+  EXPECT_EQ(eng.tiering().EstimateSeconds("never_profiled"), 0.0);
 
   // Queue order: small first. Under LPT with ONE worker, the big job must
   // execute first (its run finishes earlier in the worker's timeline); under

@@ -544,6 +544,28 @@ TEST(DiskCache, EvictionRespectsSizeBoundLruFirst) {
       probe_old.Compile(SumSquaresModule(0), CodegenOptions::ChromeV8());
   ASSERT_TRUE(oldest->ok);
   EXPECT_FALSE(oldest->from_disk) << "least recently used artifact should have been evicted";
+
+  // A fresh instance seeds its counter from one walk that counts published
+  // artifacts only: profiles, the run history, and in-flight tmp and lease
+  // files sitting next to them are not artifact bytes.
+  for (const char* name : {"nsfp-0123456789abcdef.bin", "run_history",
+                           "nsfa-0-0.bin.tmp.1.0", "nsfa-0-0.bin.lock"}) {
+    FILE* f = fopen((dir.path + "/" + name).c_str(), "w");
+    ASSERT_NE(f, nullptr) << name;
+    fputs("not an artifact\n", f);
+    fclose(f);
+  }
+  uint64_t artifact_bytes = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind("nsfa-", 0) == 0 && name.size() > 4 &&
+        name.compare(name.size() - 4, 4, ".bin") == 0) {
+      artifact_bytes += entry.file_size();
+    }
+  }
+  ASSERT_GT(artifact_bytes, 0u);
+  engine::DiskCodeCache fresh(dir.path, budget);
+  EXPECT_EQ(fresh.DirSizeBytes(), artifact_bytes);
 }
 
 TEST(DiskCache, LoadRefreshesLruRecency) {
