@@ -1,46 +1,22 @@
 #include "src/machine/cache.h"
 
-#include <cstddef>
+#include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 namespace nsf {
 
-namespace {
-uint32_t Log2(uint32_t v) {
-  uint32_t s = 0;
-  while ((1u << s) < v) {
-    s++;
-  }
-  return s;
-}
-}  // namespace
-
 CacheModel::CacheModel(uint32_t size_bytes, uint32_t line_size, uint32_t ways)
-    : line_size_(line_size),
-      ways_(ways),
-      num_sets_(size_bytes / (line_size * ways)),
-      line_shift_(Log2(line_size)),
-      sets_(size_t{num_sets_} * ways) {}
-
-bool CacheModel::Access(uint64_t addr) {
-  uint64_t line = addr >> line_shift_;
-  uint32_t set = static_cast<uint32_t>(line % num_sets_);
-  Way* base = &sets_[size_t{set} * ways_];
-  tick_++;
-  Way* victim = base;
-  for (uint32_t w = 0; w < ways_; w++) {
-    if (base[w].tag == line) {
-      base[w].lru = tick_;
-      hits_++;
-      return true;
-    }
-    if (base[w].lru < victim->lru) {
-      victim = &base[w];
-    }
+    : line_shift_(static_cast<uint32_t>(std::countr_zero(line_size))), ways_(ways) {
+  const uint64_t set_bytes = uint64_t{line_size} * ways;
+  const uint64_t sets = set_bytes == 0 ? 0 : size_bytes / set_bytes;
+  if (!std::has_single_bit(line_size) || !std::has_single_bit(sets) ||
+      sets * set_bytes != size_bytes) {
+    throw std::invalid_argument(
+        "CacheModel: size must be sets * line_size * ways with power-of-two sets and line size");
   }
-  victim->tag = line;
-  victim->lru = tick_;
-  misses_++;
-  return false;
+  set_mask_ = sets - 1;
+  tags_.assign(sets * ways, kEmpty);
 }
 
 uint32_t CacheModel::AccessRange(uint64_t addr, uint32_t size) {
@@ -55,13 +31,6 @@ uint32_t CacheModel::AccessRange(uint64_t addr, uint32_t size) {
   return miss_count;
 }
 
-void CacheModel::Reset() {
-  for (Way& w : sets_) {
-    w = Way{};
-  }
-  tick_ = 0;
-  hits_ = 0;
-  misses_ = 0;
-}
+void CacheModel::Reset() { std::fill(tags_.begin(), tags_.end(), kEmpty); }
 
 }  // namespace nsf

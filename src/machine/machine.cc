@@ -271,6 +271,10 @@ void SimMachine::FetchL1i(uint64_t addr, uint32_t size) {
   if (imiss > 0) {
     counters_.l1i_misses += imiss;
     counters_.micro_cycles += cost_.l1_miss * imiss;
+    // Known modelling quirk, kept because every committed figure includes
+    // it: the k-th *missed* line probes L2 at addr + k*64, not at its own
+    // address. A two-line fetch that hits its first line and misses its
+    // second probes L2 with the first line's address.
     for (uint32_t k = 0; k < imiss; k++) {
       if (!l2_.Access(addr + uint64_t{k} * 64)) {
         counters_.l2_misses++;

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <random>
+#include <stdexcept>
+#include <vector>
+
 #include "src/machine/cache.h"
 
 namespace nsf {
@@ -32,6 +38,157 @@ TEST(CacheModel, RangeCountsLineMisses) {
   CacheModel cache(1024, 64, 2);
   EXPECT_EQ(cache.AccessRange(60, 8), 2u);  // straddles two lines
   EXPECT_EQ(cache.AccessRange(60, 8), 0u);
+}
+
+TEST(CacheModel, RejectsNonPowerOfTwoGeometry) {
+  EXPECT_THROW(CacheModel(3 * 64 * 8, 64, 8), std::invalid_argument);  // 3 sets
+  EXPECT_THROW(CacheModel(1000, 64, 2), std::invalid_argument);        // not sets*line*ways
+  EXPECT_THROW(CacheModel(8 * 48 * 2, 48, 2), std::invalid_argument);  // 48-byte lines
+  EXPECT_THROW(CacheModel(1024, 64, 0), std::invalid_argument);
+  EXPECT_NO_THROW(CacheModel(1024, 64, 2));
+}
+
+// Reference model for the differential tests: the timestamp LRU that
+// CacheModel's MRU-ordered sets replaced. Every way carries the tick of its
+// last touch; a miss fills the first empty way (lru 0) or evicts the way
+// with the smallest tick.
+class TimestampLru {
+ public:
+  TimestampLru(uint32_t size_bytes, uint32_t line_size, uint32_t ways)
+      : ways_(ways),
+        num_sets_(size_bytes / (line_size * ways)),
+        line_shift_(static_cast<uint32_t>(std::countr_zero(line_size))),
+        sets_(size_t{num_sets_} * ways) {}
+
+  bool Access(uint64_t addr) {
+    uint64_t line = addr >> line_shift_;
+    Way* base = &sets_[(line % num_sets_) * ways_];
+    tick_++;
+    Way* victim = base;
+    for (uint32_t w = 0; w < ways_; w++) {
+      if (base[w].tag == line) {
+        base[w].lru = tick_;
+        return true;
+      }
+      if (base[w].lru < victim->lru) {
+        victim = &base[w];
+      }
+    }
+    victim->tag = line;
+    victim->lru = tick_;
+    return false;
+  }
+
+  uint32_t AccessRange(uint64_t addr, uint32_t size) {
+    uint32_t misses = 0;
+    for (uint64_t line = addr >> line_shift_; line <= (addr + size - 1) >> line_shift_; line++) {
+      misses += Access(line << line_shift_) ? 0 : 1;
+    }
+    return misses;
+  }
+
+  void Reset() {
+    std::fill(sets_.begin(), sets_.end(), Way{});
+    tick_ = 0;
+  }
+
+ private:
+  struct Way {
+    uint64_t tag = UINT64_MAX;
+    uint64_t lru = 0;
+  };
+  uint32_t ways_;
+  uint32_t num_sets_;
+  uint32_t line_shift_;
+  std::vector<Way> sets_;
+  uint64_t tick_ = 0;
+};
+
+struct CacheGeometry {
+  const char* name;
+  uint32_t size, line, ways;
+};
+// SimMachine's L1i, L1d and L2, and the small geometry of the tests above.
+constexpr CacheGeometry kGeometries[] = {
+    {"l1i", 4 * 1024, 64, 8},
+    {"l1d", 32 * 1024, 64, 8},
+    {"l2", 512 * 1024, 64, 8},
+    {"small", 1024, 64, 2},
+};
+
+enum class Stream { kSequential, kConflict, kRandom };
+constexpr Stream kStreams[] = {Stream::kSequential, Stream::kConflict, Stream::kRandom};
+
+// Seeded address streams over a region several times the cache size.
+std::vector<uint64_t> MakeStream(Stream kind, const CacheGeometry& g, uint64_t seed, size_t n) {
+  std::mt19937_64 rng(seed);
+  const uint64_t region = uint64_t{g.size} * 4;
+  const uint64_t set_stride = uint64_t{g.size} / g.ways;  // num_sets * line
+  std::vector<uint64_t> out;
+  out.reserve(n);
+  uint64_t pc = 0;
+  while (out.size() < n) {
+    switch (kind) {
+      case Stream::kSequential:  // fetch-like: runs of 1-15 byte instructions, then a jump
+        if (rng() % 32 == 0) {
+          pc = rng() % region;
+        }
+        out.push_back(pc);
+        pc += 1 + rng() % 15;
+        break;
+      case Stream::kConflict:  // four sets, each hit by twice as many lines as it has ways
+        out.push_back((rng() % 4) * g.line + (rng() % (2 * g.ways)) * set_stride);
+        break;
+      case Stream::kRandom:
+        out.push_back(rng() % region);
+        break;
+    }
+  }
+  return out;
+}
+
+TEST(CacheModel, AccessMatchesTimestampLru) {
+  constexpr size_t kAccesses = 100000;
+  uint64_t seed = 1;
+  for (const CacheGeometry& g : kGeometries) {
+    for (Stream kind : kStreams) {
+      SCOPED_TRACE(testing::Message() << g.name << " stream " << static_cast<int>(kind));
+      CacheModel cache(g.size, g.line, g.ways);
+      TimestampLru ref(g.size, g.line, g.ways);
+      std::vector<uint64_t> addrs = MakeStream(kind, g, seed++, kAccesses);
+      size_t hits = 0;
+      for (size_t i = 0; i < addrs.size(); i++) {
+        if (i == addrs.size() / 2) {
+          cache.Reset();
+          ref.Reset();
+        }
+        bool want = ref.Access(addrs[i]);
+        ASSERT_EQ(cache.Access(addrs[i]), want) << "access " << i << " at 0x" << std::hex << addrs[i];
+        hits += want ? 1 : 0;
+      }
+      EXPECT_GT(hits, 0u);  // a stream that only hits or only misses proves nothing
+      EXPECT_LT(hits, addrs.size());
+    }
+  }
+}
+
+TEST(CacheModel, AccessRangeMatchesTimestampLru) {
+  constexpr size_t kRanges = 50000;
+  uint64_t seed = 100;
+  for (const CacheGeometry& g : kGeometries) {
+    for (Stream kind : kStreams) {
+      SCOPED_TRACE(testing::Message() << g.name << " stream " << static_cast<int>(kind));
+      CacheModel cache(g.size, g.line, g.ways);
+      TimestampLru ref(g.size, g.line, g.ways);
+      std::vector<uint64_t> addrs = MakeStream(kind, g, seed++, kRanges);
+      std::mt19937_64 sizes(seed);
+      for (size_t i = 0; i < addrs.size(); i++) {
+        uint32_t size = 1 + static_cast<uint32_t>(sizes() % 200);  // spans 1-5 lines
+        uint32_t want = ref.AccessRange(addrs[i], size);
+        ASSERT_EQ(cache.AccessRange(addrs[i], size), want) << "range " << i;
+      }
+    }
+  }
 }
 
 TEST(EncodedSize, RoughlyX86Shaped) {
