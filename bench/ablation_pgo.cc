@@ -1,5 +1,5 @@
 // PGO ablation: PolyBench under the two JIT profiles with and without the
-// profile-guided tier-up, driven through the Engine's TieringPolicy. For
+// profile-guided tier-up, driven through Engine::TierUp. For
 // each workload, a warm-up run under the instrumented interpreter collects a
 // Profile; the workload is then recompiled with hotness-ordered code layout,
 // hot-loop rotation, cold if-arm sinking, and monomorphic devirtualization.

@@ -12,9 +12,10 @@
 //           over workers of simulated seconds executed), next to host wall
 //           clock. Simulated throughput is the hardware-independent number:
 //           host wall clock only scales with physical cores.
-//   sched — after warming tiering profiles, the suite runs at 4 workers under
-//           FIFO and under LPT (longest-processing-time-first by profiled
-//           work); the makespan delta lands in BENCH_engine_parallel.json.
+//   sched — the suite runs at 4 workers under FIFO and under LPT
+//           (longest-processing-time-first by the observed simulated seconds
+//           of the earlier phases); the makespan delta lands in
+//           BENCH_engine_parallel.json.
 //
 // Exit status asserts the PR's acceptance criteria: no duplicate compiles for
 // shared keys, and >1.5x suite throughput at 4 workers vs 1.
@@ -151,26 +152,12 @@ int main() {
   }
 
   // --- Phase 3: FIFO vs LPT scheduling at 4 workers ---
-  // By now phases 1-2 have executed every request, so the run-history table
-  // (TieringPolicy::RecordRun) holds OBSERVED simulated seconds for every
-  // key — the estimator LPT now prefers over warm-up instruction counts.
-  // Warm the tiering profiles anyway so the profiled-work fallback is also
-  // exercised and the comparison matches the pre-history behavior.
-  fprintf(stderr, "scheduling phase: profiling %zu workloads for LPT estimates...\n",
-          AllPolybench().size());
-  for (const WorkloadSpec& spec : AllPolybench()) {
-    std::string err;
-    eng.TierUp(spec, CodegenOptions::ChromeV8(), &err);
-    if (!err.empty()) {
-      // Without this workload's profile the "LPT" leg silently degrades
-      // toward FIFO, so a failed warm-up invalidates the comparison.
-      fprintf(stderr, "!! %s: %s\n", spec.name.c_str(), err.c_str());
-      failed = true;
-    }
-  }
+  // By now phases 1-2 have executed every request, so the run history
+  // (RunHistory::RecordRun) holds OBSERVED simulated seconds for every key —
+  // the estimates LPT orders by.
   uint64_t observed_keys = 0;
   for (const engine::RunRequest& req : requests) {
-    observed_keys += eng.tiering().ObservedRuns(req.spec.name) > 0 ? 1 : 0;
+    observed_keys += eng.history().ObservedRuns(req.spec.name) > 0 ? 1 : 0;
   }
   engine::BatchReport fifo_leg;
   engine::BatchReport lpt_leg;

@@ -93,7 +93,7 @@ class DiskCodeCache {
   // --- Tiering-profile persistence ---
   // Warm-up Profiles (src/profile/profile.h) stored next to the artifacts as
   //   nsfp-<fnv1a(workload name):016x>.bin
-  // so a warm process seeds its tiering policy from disk and skips the
+  // so a warm process's Engine::TierUp loads them from disk and skips the
   // interpreter warm-up. Deliberately OUTSIDE the byte counter and the LRU
   // bound: profiles are tiny, and evicting one would silently reintroduce a
   // warm-up pause. Same safety discipline as artifacts: atomic tmp+rename

@@ -10,6 +10,7 @@
 #include "src/codegen/verify.h"
 #include "src/engine/tierer.h"
 #include "src/machine/verify_decoded.h"
+#include "src/profile/tier.h"
 #include "src/runtime/runtime.h"
 #include "src/support/str.h"
 #include "src/telemetry/metrics.h"
@@ -447,84 +448,39 @@ void CodeCache::Clear() {
   }
 }
 
-// --- TieringPolicy ---
+// --- RunHistory ---
 
-CodegenOptions TieringPolicy::TierUp(const WorkloadSpec& spec, const CodegenOptions& base,
-                                     std::string* error) {
-  // Profile pointers stay valid outside the lock because TierManager's cache
-  // is node-stable.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const Profile* cached = manager_.CachedProfile(spec.name);
-    if (cached != nullptr) {
-      return manager_.TierUp(base, cached);
-    }
+void RunHistory::RecordRun(const std::string& name, double sim_seconds) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& e = table_[name];
+  e.runs++;
+  e.total_sim_seconds += sim_seconds;
+  dirty_.fetch_add(1, std::memory_order_relaxed);
+}
+
+double RunHistory::ObservedSeconds(const std::string& name, uint64_t* runs) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = table_.find(name);
+  const uint64_t n = it != table_.end() ? it->second.runs : 0;
+  if (runs != nullptr) {
+    *runs = n;
   }
-
-  // Run the interpreter warm-up OUTSIDE the policy lock so cached-profile
-  // fast paths and run-history updates proceed meanwhile. Counted whether or
-  // not it succeeds — failures are not cached and will run again next time.
-  warmup_runs_.fetch_add(1, std::memory_order_relaxed);
-  telemetry::Span span("tier.warmup", "engine");
-  span.arg("workload", spec.name);
-  const auto warmup_t0 = std::chrono::steady_clock::now();
-  Profile profile;
-  const bool collected = manager_.Collect(spec, &profile, error);
-  static telemetry::Histogram& warmup_ns = Hist("engine.tier.warmup_ns");
-  warmup_ns.Record(ElapsedNs(warmup_t0));
-  if (!collected) {
-    return base;
-  }
-
-  const Profile* published = nullptr;
-  {
-    // First writer wins: a racer that profiled the same name gets the
-    // already-cached profile back, so every caller tiers with one pointer.
-    std::lock_guard<std::mutex> lock(mu_);
-    published = manager_.Insert(spec.name, std::move(profile));
-  }
-  return manager_.TierUp(base, published);
+  return n > 0 ? it->second.total_sim_seconds / static_cast<double>(n) : 0.0;
 }
 
-bool TieringPolicy::HasProfile(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return manager_.CachedProfile(name) != nullptr;
+uint64_t RunHistory::ObservedRuns(const std::string& name) const {
+  uint64_t runs = 0;
+  ObservedSeconds(name, &runs);
+  return runs;
 }
 
-const Profile* TieringPolicy::InsertProfile(const std::string& name, Profile profile) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return manager_.Insert(name, std::move(profile));
-}
-
-void TieringPolicy::RecordRun(const std::string& name, double sim_seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RunHistory& h = history_[name];
-  h.runs++;
-  h.total_sim_seconds += sim_seconds;
-  history_dirty_.fetch_add(1, std::memory_order_relaxed);
-}
-
-double TieringPolicy::ObservedSeconds(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = history_.find(name);
-  return it != history_.end() && it->second.runs > 0
-             ? it->second.total_sim_seconds / static_cast<double>(it->second.runs)
-             : 0.0;
-}
-
-uint64_t TieringPolicy::ObservedRuns(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = history_.find(name);
-  return it != history_.end() ? it->second.runs : 0;
-}
-
-bool TieringPolicy::LoadHistory(const std::string& path) {
+bool RunHistory::Load(const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) {
     return false;
   }
   telemetry::Span span("history.load", "engine");
-  std::map<std::string, RunHistory> loaded;
+  std::map<std::string, Entry> loaded;
   char line[1024];
   while (std::fgets(line, sizeof(line), f) != nullptr) {
     // "<runs> <total_sim_seconds> <name>" — the name last so it may contain
@@ -546,37 +502,37 @@ bool TieringPolicy::LoadHistory(const std::string& path) {
     if (name.empty() || runs == 0) {
       continue;
     }
-    RunHistory& h = loaded[name];
-    h.runs += runs;
-    h.total_sim_seconds += seconds;
+    Entry& e = loaded[name];
+    e.runs += runs;
+    e.total_sim_seconds += seconds;
   }
   std::fclose(f);
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, h] : loaded) {
-    RunHistory& dst = history_[name];
-    dst.runs += h.runs;
-    dst.total_sim_seconds += h.total_sim_seconds;
+  for (const auto& [name, e] : loaded) {
+    Entry& dst = table_[name];
+    dst.runs += e.runs;
+    dst.total_sim_seconds += e.total_sim_seconds;
   }
   span.arg("keys", static_cast<uint64_t>(loaded.size()));
   return true;
 }
 
-bool TieringPolicy::SaveHistory(const std::string& path) const {
-  std::map<std::string, RunHistory> snapshot;
+bool RunHistory::Save(const std::string& path) const {
+  std::map<std::string, Entry> snapshot;
   uint64_t dirty_at_snapshot = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    snapshot = history_;
-    dirty_at_snapshot = history_dirty_.load(std::memory_order_relaxed);
+    snapshot = table_;
+    dirty_at_snapshot = dirty_.load(std::memory_order_relaxed);
   }
   if (snapshot.empty()) {
     return false;  // nothing observed; leave any previous file untouched
   }
   telemetry::Span span("history.save", "engine");
   std::string text;
-  for (const auto& [name, h] : snapshot) {
-    text += StrFormat("%llu %.9g %s\n", static_cast<unsigned long long>(h.runs),
-                      h.total_sim_seconds, name.c_str());
+  for (const auto& [name, e] : snapshot) {
+    text += StrFormat("%llu %.9g %s\n", static_cast<unsigned long long>(e.runs),
+                      e.total_sim_seconds, name.c_str());
   }
   // Atomic publish: readers (and a racing saver in another process) only
   // ever see a complete table.
@@ -584,55 +540,38 @@ bool TieringPolicy::SaveHistory(const std::string& path) const {
   if (ok) {
     // Only the runs captured in the snapshot are durable; recordings that
     // raced in since stay dirty for the next flush.
-    history_dirty_.fetch_sub(dirty_at_snapshot, std::memory_order_relaxed);
+    dirty_.fetch_sub(dirty_at_snapshot, std::memory_order_relaxed);
   }
   span.arg("keys", static_cast<uint64_t>(snapshot.size()));
   return ok;
 }
 
-size_t TieringPolicy::HistorySize() const {
+size_t RunHistory::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return history_.size();
-}
-
-double TieringPolicy::EstimateSeconds(const std::string& name, uint64_t* observed_runs) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = history_.find(name);
-  uint64_t runs = it != history_.end() ? it->second.runs : 0;
-  if (observed_runs != nullptr) {
-    *observed_runs = runs;
-  }
-  if (runs > 0) {
-    return it->second.total_sim_seconds / static_cast<double>(runs);
-  }
-  const Profile* p = manager_.CachedProfile(name);
-  // Nominal instructions/second bridge; only the relative order matters.
-  return p != nullptr ? static_cast<double>(p->total_instrs()) / 3.5e9 : 0.0;
+  return table_.size();
 }
 
 // --- Engine ---
 
 Engine::Engine(EngineConfig config)
     : config_(config),
-      tiering_(config.tiering),
-      cache_(config.cache_shards, config.cache_dir, config.disk_cache_max_bytes) {
+      cache_(CodeCache::kDefaultShards, config.cache_dir, config.disk_cache_max_bytes) {
   if (!config_.cache_dir.empty()) {
-    tiering_.LoadHistory(RunHistoryPath());
+    history_.Load(RunHistoryPath());
   }
   // Background tiering needs the sampling signal (sample_period == 0 would
   // never mark a module hot) and the cache (the hot swap IS a cache
   // republish); without either, don't start the thread at all.
   if (config_.background_tiering && config_.sample_period != 0 && config_.cache_enabled) {
-    tierer_ = std::make_unique<BackgroundTierer>(this, config_.tier_hot_samples,
-                                                 config_.tier_scan_period_seconds);
+    tierer_ = std::make_unique<BackgroundTierer>(this);
   }
 }
 
 Engine::~Engine() {
-  // Stop the tierer before anything it feeds (cache, tiering policy, stats)
+  // Stop the tierer before anything it feeds (cache, profiles, stats)
   // starts tearing down.
   tierer_.reset();
-  SaveRunHistory();
+  FlushRunHistory();
 }
 
 std::string Engine::RunHistoryPath() const {
@@ -648,11 +587,11 @@ bool Engine::SaveRunHistory() const {
   // run-history-only session may never store an artifact).
   std::error_code ec;
   std::filesystem::create_directories(config_.cache_dir, ec);
-  return tiering_.SaveHistory(path);
+  return history_.Save(path);
 }
 
 bool Engine::FlushRunHistory() const {
-  if (config_.cache_dir.empty() || tiering_.HistoryDirty() == 0) {
+  if (config_.cache_dir.empty() || history_.dirty() == 0) {
     return false;
   }
   return SaveRunHistory();
@@ -771,27 +710,49 @@ CompiledModuleRef Engine::CompileWorkload(const WorkloadSpec& spec,
 
 CodegenOptions Engine::TierUp(const WorkloadSpec& spec, const CodegenOptions& base,
                               std::string* error) {
-  // Profile persistence (satellite to the disk artifact tier): a previous
-  // process's warm-up profile lives next to the artifacts, so a warm process
-  // seeds the in-memory profile cache and skips the interpreter run.
-  bool persist = false;
-  if (cache_.disk().enabled() && !tiering_.HasProfile(spec.name)) {
-    Profile loaded;
-    if (cache_.disk().LoadProfile(spec.name, &loaded)) {
-      tiering_.InsertProfile(spec.name, std::move(loaded));
-      static telemetry::Counter& profile_loads = Count("engine.tier.profile_disk_load");
-      profile_loads.Add();
-    } else {
-      persist = true;  // the warm-up below is fresh: keep it for the next process
+  {
+    std::lock_guard<std::mutex> lock(profile_mu_);
+    auto it = profiles_.find(spec.name);
+    if (it != profiles_.end()) {
+      return PgoOptions(base, &it->second);
     }
   }
-  CodegenOptions tiered = tiering_.TierUp(spec, base, error);
-  // A racer may duplicate this write with identical bytes — StoreProfile
-  // writes tmp + rename, so the race is harmless.
-  if (persist && tiered.profile != nullptr) {
-    cache_.disk().StoreProfile(spec.name, *tiered.profile);
+  // A previous process's warm-up profile lives next to the artifacts, so a
+  // warm process seeds the profile cache from disk and skips the interpreter.
+  Profile profile;
+  if (cache_.disk().enabled() && cache_.disk().LoadProfile(spec.name, &profile)) {
+    static telemetry::Counter& profile_loads = Count("engine.tier.profile_disk_load");
+    profile_loads.Add();
+    return PgoOptions(base, InsertProfile(spec.name, std::move(profile)));
   }
-  return tiered;
+
+  // The interpreter warm-up runs outside every lock. Counted whether or not
+  // it succeeds: failures are not cached and run again next time.
+  tier_warmups_.fetch_add(1, std::memory_order_relaxed);
+  {
+    telemetry::Span span("tier.warmup", "engine");
+    span.arg("workload", spec.name);
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool collected = CollectProfile(spec, &profile, error);
+    static telemetry::Histogram& warmup_ns = Hist("engine.tier.warmup_ns");
+    warmup_ns.Record(ElapsedNs(t0));
+    if (!collected) {
+      return base;
+    }
+  }
+  const Profile* published = InsertProfile(spec.name, std::move(profile));
+  // Keep the profile for the next process. A racer may duplicate this write
+  // with identical bytes; StoreProfile writes tmp + rename, so that is
+  // harmless.
+  if (cache_.disk().enabled()) {
+    cache_.disk().StoreProfile(spec.name, *published);
+  }
+  return PgoOptions(base, published);
+}
+
+const Profile* Engine::InsertProfile(const std::string& name, Profile profile) {
+  std::lock_guard<std::mutex> lock(profile_mu_);
+  return &profiles_.emplace(name, std::move(profile)).first->second;
 }
 
 std::shared_ptr<SampledProfile> Engine::SamplerFor(const CompiledModuleRef& code) {
@@ -838,7 +799,7 @@ EngineStats Engine::Stats() const {
   s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   s.compiles = compiles_.load(std::memory_order_relaxed);
   s.compile_joins = compile_joins_.load(std::memory_order_relaxed);
-  s.tier_warmups = tiering_.warmup_runs();
+  s.tier_warmups = tier_warmups_.load(std::memory_order_relaxed);
   s.lock_waits = cache_.lock_waits();
   s.lock_wait_seconds = cache_.lock_wait_seconds();
   s.compile_seconds = static_cast<double>(compile_nanos_.load(std::memory_order_relaxed)) * 1e-9;
@@ -869,8 +830,8 @@ void Engine::ResetStats() {
   saved_nanos_.store(0, std::memory_order_relaxed);
   tier_swaps_.store(0, std::memory_order_relaxed);
   background_recompiles_.store(0, std::memory_order_relaxed);
+  tier_warmups_.store(0, std::memory_order_relaxed);
   cache_.ResetTelemetry();  // keep lock_waits + disk stats consistent with the zeros
-  tiering_.ResetWarmupCount();
 }
 
 // --- Session ---

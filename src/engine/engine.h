@@ -5,8 +5,8 @@
 //
 //   Engine   — process-wide and THREAD-SAFE: owns a content-addressed,
 //              TWO-LEVEL CodeCache keyed by (module hash via the encoder,
-//              CodegenOptions fingerprint) and a TieringPolicy wrapping the
-//              PGO TierManager. Compilation is compile-once-run-many even
+//              CodegenOptions fingerprint), the PGO tier-up profiles and
+//              the run history. Compilation is compile-once-run-many even
 //              under concurrency AND across processes: the in-memory tier is
 //              sharded into mutex-guarded shards (selected by module-hash
 //              prefix) with a per-entry "compiling" latch, and behind it sits
@@ -61,8 +61,8 @@
 #include "src/kernel/kernel.h"
 #include "src/machine/decode.h"
 #include "src/machine/machine.h"
+#include "src/profile/profile.h"
 #include "src/profile/sampled.h"
-#include "src/profile/tier.h"
 #include "src/wasm/module.h"
 
 namespace nsf {
@@ -281,85 +281,46 @@ class CodeCache {
   static constexpr size_t kIndexInitialCapacity = 16;
 };
 
-// Engine-owned tier-up policy: wraps the PGO TierManager so profiling and
-// profile-guided recompilation are an engine concern, not a caller concern.
-//
-// Thread-safe: the profile cache and run history sit behind one mutex, and
-// the interpreter warm-up runs outside it. Its callers are the background
-// tierer thread and serial offline benches, so concurrent warm-ups of one
-// name are not deduplicated: racers each profile, the first Insert wins, and
-// every caller tiers with the one cached profile.
-class TieringPolicy {
+// Observed simulated seconds per workload name. Every batch and served run
+// records here; ExecutorPool's LPT schedule and the serving loop's DRR costs
+// read the observed means. Thread-safe.
+class RunHistory {
  public:
-  explicit TieringPolicy(TierConfig config = TierConfig()) : manager_(config) {}
-
-  // Profile-guided options for `spec` over `base`. Once a workload name's
-  // profile is cached no warm-up runs again. On warm-up failure returns
-  // `base` unchanged and sets *error (failures are not cached).
-  CodegenOptions TierUp(const WorkloadSpec& spec, const CodegenOptions& base,
-                        std::string* error);
-
-  // True when `name`'s profile is already cached (no warm-up would run).
-  bool HasProfile(const std::string& name) const;
-
-  // Publishes an externally obtained profile (disk-persisted from a previous
-  // process, or reconstructed from sampling) under `name`, so subsequent
-  // TierUp calls skip the interpreter warm-up. First writer wins; returns
-  // the cached node-stable profile either way. Thread-safe.
-  const Profile* InsertProfile(const std::string& name, Profile profile);
-
-  // --- Run-history table (observed per-key simulated seconds) ---
-  // Every batch run records its workload's simulated seconds here;
-  // ExecutorPool's LPT schedule prefers these observed means over the
-  // warm-up instruction counts, which misestimate whenever interpreted and
-  // compiled instruction mixes diverge. Thread-safe.
   void RecordRun(const std::string& name, double sim_seconds);
 
-  // Runs recorded since the last successful SaveHistory: the cheap "is there
+  // Runs recorded since the last successful Save: the cheap "is there
   // anything new to persist" check behind Engine::FlushRunHistory.
-  uint64_t HistoryDirty() const { return history_dirty_.load(std::memory_order_relaxed); }
+  uint64_t dirty() const { return dirty_.load(std::memory_order_relaxed); }
 
   // Persistence (NSF_CACHE_DIR/run_history via the Engine): a fresh process
   // starts with the previous process's observed means, so its FIRST LPT
-  // batch already schedules by history instead of falling back to warm-up
-  // estimates. Text lines "<runs> <total_sim_seconds> <name>"; unparsable
-  // lines are skipped, a missing file is a clean empty table. Load MERGES
-  // into the current table (summing runs/seconds per key); Save writes
-  // atomically (tmp + rename) and reports success. Thread-safe.
-  bool LoadHistory(const std::string& path);
-  bool SaveHistory(const std::string& path) const;
-  size_t HistorySize() const;
-  // Mean observed simulated seconds for `name`; 0 when never recorded.
-  double ObservedSeconds(const std::string& name) const;
-  uint64_t ObservedRuns(const std::string& name) const;
-  // The LPT work estimate, in (approximate) seconds: the observed mean when
-  // the run history has this key, else the warm-up profile's instruction
-  // count at a nominal 3.5e9 instructions/second (the cost model's clock —
-  // only the ORDER matters, so a rough bridge between the two unit systems
-  // is fine), else 0 — an all-zero batch keeps queue order under the stable
-  // sort, which is the documented FIFO fallback. `observed_runs` (optional)
-  // receives the key's run-history depth under the same lock acquisition,
-  // so schedulers don't pay a second lock round-trip per request.
-  double EstimateSeconds(const std::string& name, uint64_t* observed_runs = nullptr) const;
+  // batch already schedules by history. Text lines
+  // "<runs> <total_sim_seconds> <name>"; unparsable lines are skipped, a
+  // missing file is a clean empty table. Load MERGES into the current table
+  // (summing runs/seconds per key); Save writes atomically (tmp + rename),
+  // never writes an empty table, and reports success.
+  bool Load(const std::string& path);
+  bool Save(const std::string& path) const;
+  size_t size() const;
 
-  // Not synchronized — only touch the raw manager from one thread.
-  TierManager& manager() { return manager_; }
-  uint64_t warmup_runs() const { return warmup_runs_.load(std::memory_order_relaxed); }
-  void ResetWarmupCount() { warmup_runs_.store(0, std::memory_order_relaxed); }
+  // Mean observed simulated seconds for `name`; 0 when never recorded, so an
+  // all-cold batch keeps queue order under LPT's stable sort. `runs`
+  // (optional) receives the key's run count under the same lock
+  // acquisition, so schedulers don't pay a second lock round-trip.
+  double ObservedSeconds(const std::string& name, uint64_t* runs = nullptr) const;
+  uint64_t ObservedRuns(const std::string& name) const;
 
  private:
-  struct RunHistory {
+  struct Entry {
     uint64_t runs = 0;
     double total_sim_seconds = 0;
   };
 
-  mutable std::mutex mu_;  // guards manager_'s cache and history_
-  TierManager manager_;
-  std::map<std::string, RunHistory> history_;
-  std::atomic<uint64_t> warmup_runs_{0};  // interpreter warm-ups actually executed
-  // Runs recorded since the last successful save; mutable because SaveHistory
+  mutable std::mutex mu_;  // guards table_
+  std::map<std::string, Entry> table_;
+  // Runs recorded since the last successful save; mutable because Save
   // (const) clears it once the table is durably on disk.
-  mutable std::atomic<uint64_t> history_dirty_{0};
+  mutable std::atomic<uint64_t> dirty_{0};
 };
 
 // Reads NSF_CACHE_DIR: the disk tier's directory ("" = disabled).
@@ -369,13 +330,11 @@ uint64_t DefaultDiskCacheMaxBytes();
 
 struct EngineConfig {
   bool cache_enabled = true;   // table2-style compile-time benches disable it
-  size_t cache_shards = CodeCache::kDefaultShards;
   // Disk tier: empty disables persistence. Defaults honor the NSF_CACHE_DIR /
   // NSF_CACHE_MAX_BYTES environment so every bench binary persists compiles
   // when the caller exports a cache directory.
   std::string cache_dir = DefaultCacheDir();
   uint64_t disk_cache_max_bytes = DefaultDiskCacheMaxBytes();
-  TierConfig tiering;
   // --- Continuous tiering ---
   // sample_period N != 0 arms the predecoded interpreter's sampled profiling:
   // every Nth back-edge/call records into the module's shared SampledProfile
@@ -383,12 +342,11 @@ struct EngineConfig {
   // PerfCounters identical either way). background_tiering additionally
   // starts an engine-owned recompilation thread that watches the sample
   // totals of every workload compiled through CompileWorkload and, once a
-  // module crosses tier_hot_samples, runs the PGO pipeline off the serve
-  // path and hot-swaps the result into the code cache under the base key.
+  // module crosses BackgroundTierer::kHotSamples, runs the PGO pipeline off
+  // the serve path and hot-swaps the result into the code cache under the
+  // base key.
   bool background_tiering = false;
   uint32_t sample_period = 0;
-  uint64_t tier_hot_samples = 64;
-  double tier_scan_period_seconds = 0.005;
 };
 
 // Aggregate counters surfaced into every BENCH_*.json (engine_stats block).
@@ -431,22 +389,22 @@ class Session;
 class Engine {
  public:
   // With a cache_dir configured, construction loads the persisted run-history
-  // table (cache_dir/run_history) and destruction saves it — the tiering
-  // policy's observed-seconds estimates survive process restarts alongside
-  // the compiled artifacts themselves.
+  // table (cache_dir/run_history) and destruction flushes it — the observed
+  // seconds survive process restarts alongside the compiled artifacts
+  // themselves.
   explicit Engine(EngineConfig config = EngineConfig());
   ~Engine();
 
-  // Saves the run-history table to cache_dir/run_history now (also done by
-  // the destructor). No-op without a cache_dir; true on a successful write.
+  // Saves the run-history table to cache_dir/run_history now. No-op without
+  // a cache_dir; true on a successful write.
   bool SaveRunHistory() const;
-  // Persists the run-history table only if runs were recorded since the last
-  // save — the crash-safety valve for long-lived processes: ~Engine is the
-  // only other save point, and a killed process loses everything it observed.
-  // ExecutorPool::Run flushes after every batch and the serving loop flushes
-  // on a period, so at most one batch / one flush window of history is ever
-  // at risk. Cheap when clean or when no cache_dir is configured (one
-  // relaxed atomic load). True when a write happened and succeeded.
+  // Saves the run-history table only if runs were recorded since the last
+  // save. ExecutorPool::Run flushes after every batch, the serving loop on a
+  // period and ~Engine at exit, so a killed process loses at most one batch /
+  // one flush window of history, and an engine that recorded nothing never
+  // overwrites a file another process saved since this one loaded it. Cheap
+  // when clean or when no cache_dir is configured (one relaxed atomic load).
+  // True when a write happened and succeeded.
   bool FlushRunHistory() const;
   // The run_history file path for this engine's cache_dir ("" when disabled).
   std::string RunHistoryPath() const;
@@ -471,11 +429,15 @@ class Engine {
   CompiledModuleRef CompileWorkload(const WorkloadSpec& spec, const CodegenOptions& options,
                                     CompileInfo* info);
 
-  // Profile-guided options for `spec` via the engine's TieringPolicy. With a
-  // disk cache this first tries the profile persisted by a previous process
-  // (skipping the interpreter warm-up entirely) and persists any fresh
-  // warm-up's profile for the next process. Production calls this from the
-  // background tierer thread only; nothing on the serve path blocks on it.
+  // Profile-guided options for `spec` over `base` — the one place a tier-up
+  // profile is obtained, cached and persisted. The profile comes from the
+  // engine's per-name cache, else from the disk tier (a previous process's
+  // warm-up), else from an interpreter warm-up run outside every lock, which
+  // is then persisted for the next process. Racing callers of one name may
+  // each warm up; the first cached profile wins and every caller tiers with
+  // it. On warm-up failure returns `base` unchanged and sets *error
+  // (failures are not cached). Production calls this from the background
+  // tierer thread only; nothing on the serve path blocks on it.
   CodegenOptions TierUp(const WorkloadSpec& spec, const CodegenOptions& base,
                         std::string* error);
 
@@ -485,8 +447,9 @@ class Engine {
   std::shared_ptr<SampledProfile> SamplerFor(const CompiledModuleRef& code);
 
   // Registers a base-tier compile with the background tierer: once the
-  // module's sample total crosses tier_hot_samples the tierer recompiles it
-  // with PGO and hot-swaps the result under (module_hash, fingerprint).
+  // module's sample total crosses BackgroundTierer::kHotSamples the tierer
+  // recompiles it with PGO and hot-swaps the result under
+  // (module_hash, fingerprint).
   // No-op unless background tiering + sampling are both enabled; deduped by
   // key. CompileWorkload calls this automatically for un-profiled options.
   void WatchForTierUp(const CompiledModuleRef& code, const WorkloadSpec& spec,
@@ -502,12 +465,16 @@ class Engine {
   void ClearCache() { cache_.Clear(); }
 
   const EngineConfig& config() const { return config_; }
-  TieringPolicy& tiering() { return tiering_; }
-  const TieringPolicy& tiering() const { return tiering_; }
+  RunHistory& history() { return history_; }
+  const RunHistory& history() const { return history_; }
   CodeCache& cache() { return cache_; }
 
  private:
   friend class BackgroundTierer;
+
+  // Caches `profile` under `name` and returns the cached profile, which
+  // stays valid for the engine's lifetime. First writer wins.
+  const Profile* InsertProfile(const std::string& name, Profile profile);
 
   // One compile, bypassing the cache: validation + backend + stats.
   CompiledModuleRef CompileUncached(const Module& module, uint64_t module_hash,
@@ -517,8 +484,14 @@ class Engine {
   }
 
   EngineConfig config_;
-  TieringPolicy tiering_;
+  RunHistory history_;
   CodeCache cache_;
+
+  // Tier-up profiles by workload name. Map nodes are stable, so the pointers
+  // TierUp hands out stay valid after profile_mu_ is released.
+  std::mutex profile_mu_;
+  std::map<std::string, Profile> profiles_;
+  std::atomic<uint64_t> tier_warmups_{0};  // interpreter warm-ups actually run
 
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
@@ -529,7 +502,7 @@ class Engine {
 
   // Continuous tiering. samplers_ maps module_hash -> shared sink; the
   // tierer thread is constructed last / destroyed first so it can never
-  // outlive the cache or tiering policy it feeds.
+  // outlive the cache or profiles it feeds.
   mutable std::mutex sampler_mu_;
   std::map<uint64_t, std::shared_ptr<SampledProfile>> samplers_;
   std::atomic<uint64_t> tier_swaps_{0};

@@ -73,9 +73,9 @@ void ExecuteRequestBody(Session* session, const RunRequest& request, BatchRunRes
     }
   }
   r->ok = true;
-  // Feed the run-history table: future LPT schedules order by this key's
-  // observed simulated seconds instead of warm-up instruction counts.
-  session->engine()->tiering().RecordRun(request.spec.name, r->outcome.seconds);
+  // Feed the run history: future LPT schedules order by this key's observed
+  // simulated seconds.
+  session->engine()->history().RecordRun(request.spec.name, r->outcome.seconds);
 }
 
 }  // namespace
@@ -243,15 +243,14 @@ BatchReport ExecutorPool::Run(const std::vector<RunRequest>& requests,
   report.runs.resize(total_jobs);
 
   // LPT: one work estimate per request (all reps of a request share it) —
-  // the observed mean simulated seconds when the run-history table has the
-  // key, else the profiled-work fallback. 0 for cold workloads, so a batch
-  // with no history or profiles keeps its queue order under the stable sort
-  // — the documented FIFO fallback.
+  // the observed mean simulated seconds in the run history. 0 for cold
+  // workloads, so a batch with no history keeps its queue order under the
+  // stable sort — the documented FIFO fallback.
   std::vector<double> request_work(requests.size(), 0.0);
   if (schedule == SchedulePolicy::kLpt) {
     for (size_t i = 0; i < requests.size(); i++) {
       uint64_t observed_runs = 0;
-      request_work[i] = engine_->tiering().EstimateSeconds(requests[i].spec.name, &observed_runs);
+      request_work[i] = engine_->history().ObservedSeconds(requests[i].spec.name, &observed_runs);
       if (observed_runs > 0) {
         report.lpt_observed_requests++;
       }

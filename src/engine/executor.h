@@ -43,18 +43,16 @@ struct RunRequest {
 };
 
 // How ExecutorPool orders jobs onto free workers.
-//   kLpt  — longest-processing-time-first by each request's work estimate
-//           (TieringPolicy::EstimateSeconds): the OBSERVED mean simulated
-//           seconds from the run-history table when the key has run before,
-//           else the warm-up profile's instruction count scaled to nominal
-//           seconds. Classic greedy makespan heuristic: big jobs can't land
-//           last and leave one worker running alone. Requests with neither
-//           history nor profile carry estimate 0, so an entirely cold batch
-//           degrades to exactly kFifo (the sort is stable).
+//   kLpt  — longest-processing-time-first by each request's OBSERVED mean
+//           simulated seconds in the run history (RunHistory::ObservedSeconds).
+//           Classic greedy makespan heuristic: big jobs can't land last and
+//           leave one worker running alone. A request with no history
+//           carries estimate 0, so an entirely cold batch degrades to
+//           exactly kFifo (the sort is stable).
 //   kFifo — pure queue order (request-major, then rep), the pre-LPT behavior.
 //
-// Every completed run feeds the run-history table (TieringPolicy::RecordRun),
-// so LPT estimates sharpen as batches repeat.
+// Every completed run feeds the run history (RunHistory::RecordRun), so LPT
+// estimates sharpen as batches repeat.
 enum class SchedulePolicy : uint8_t { kLpt, kFifo };
 
 const char* SchedulePolicyName(SchedulePolicy policy);
@@ -105,8 +103,8 @@ struct BatchReport {
   double failed_sim_seconds = 0;
   double sim_makespan_seconds = 0;
   std::vector<double> worker_sim_seconds;  // indexed by worker; OK runs only
-  // Under kLpt: how many requests carried an observed run-history estimate
-  // (vs the profiled-work fallback or none). 0 under kFifo.
+  // Under kLpt: how many requests had observed run history (the rest
+  // estimate 0). 0 under kFifo.
   uint64_t lpt_observed_requests = 0;
   EngineStats stats_before;  // engine snapshot when the batch started
   EngineStats stats_after;   // engine snapshot when the batch finished
@@ -137,7 +135,7 @@ class ExecutorPool {
   ExecutorPool& operator=(const ExecutorPool&) = delete;
 
   // Expands `requests` into request×rep jobs, orders them by `schedule`
-  // (LPT by profiled work by default, FIFO when nothing is profiled),
+  // (LPT by observed run history by default, FIFO when nothing has run),
   // executes them across the workers (a free worker takes the next job),
   // blocks until every job finished, and aggregates the report. Results in
   // the report stay in (request_index, rep) order regardless of schedule.

@@ -335,7 +335,7 @@ void ServingLoop::GeneratorMain(LoopState* loop) {
         // DRR charges by estimated service cost: the run-history table's
         // observed mean when this key has run, else the cost floor. The
         // estimate sharpens as the loop serves (every completion records).
-        item.cost = std::max(engine_->tiering().EstimateSeconds(cfg.mix[item.payload].spec.name),
+        item.cost = std::max(engine_->history().ObservedSeconds(cfg.mix[item.payload].spec.name),
                              config_.min_cost_seconds);
         // Dispatch deadline for SLO-aware scheduling: once this request has
         // aged through slo_urgency_fraction of its SLO budget, waiting for

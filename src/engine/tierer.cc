@@ -5,17 +5,14 @@
 #include <utility>
 
 #include "src/engine/ebr.h"
+#include "src/profile/tier.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
 
 namespace nsf {
 namespace engine {
 
-BackgroundTierer::BackgroundTierer(Engine* engine, uint64_t hot_samples,
-                                   double scan_period_seconds)
-    : engine_(engine),
-      hot_samples_(hot_samples == 0 ? 1 : hot_samples),
-      scan_period_seconds_(scan_period_seconds <= 0 ? 0.005 : scan_period_seconds) {
+BackgroundTierer::BackgroundTierer(Engine* engine) : engine_(engine) {
   thread_ = std::thread([this] { ThreadMain(); });
 }
 
@@ -70,7 +67,7 @@ bool BackgroundTierer::PendingLocked() const {
       return true;
     }
     if (!w->swapped && w->attempts < kMaxAttempts &&
-        w->sampler->total_samples() >= hot_samples_) {
+        w->sampler->total_samples() >= kHotSamples) {
       return true;
     }
   }
@@ -92,14 +89,14 @@ void BackgroundTierer::ThreadMain() {
     Watched* pick = nullptr;
     for (const auto& w : watches_) {
       if (!w->in_progress && !w->swapped && w->attempts < kMaxAttempts &&
-          w->sampler->total_samples() >= hot_samples_) {
+          w->sampler->total_samples() >= kHotSamples) {
         pick = w.get();
         break;
       }
     }
     if (pick == nullptr) {
       done_cv_.notify_all();
-      cv_.wait_for(lock, std::chrono::duration<double>(scan_period_seconds_));
+      cv_.wait_for(lock, kScanPeriod);
       continue;
     }
     pick->in_progress = true;
@@ -132,21 +129,17 @@ bool BackgroundTierer::TierOne(const Watched& w) {
   std::string error;
   CodegenOptions tiered = engine_->TierUp(w.spec, w.base, &error);
   if (tiered.profile == nullptr) {
-    // Warm-up failed (build error, trap, fuel misconfiguration): fall back
-    // to the profile the samples themselves imply. Coarser — entry/back-edge
-    // weights only, no per-site vectors — but enough for pgo_layout's
-    // hot/cold partitioning. Insert under a distinct name so a later
-    // successful warm-up is not shadowed.
+    // Warm-up failed (build error, trap): fall back to the profile the
+    // samples themselves imply. Coarser — entry/back-edge weights only, no
+    // per-site vectors — but enough for pgo_layout's hot/cold partitioning.
+    // Insert under a distinct name so a later successful warm-up is not
+    // shadowed.
     Profile sampled = w.sampler->ToProfile(w.code->module().NumImportedFuncs());
     if (sampled.num_funcs() == 0) {
       return false;
     }
-    const Profile* stable =
-        engine_->tiering().InsertProfile(w.spec.name + "#sampled", std::move(sampled));
-    tiered = engine_->tiering().manager().TierUp(w.base, stable);
-    if (tiered.profile == nullptr) {
-      return false;
-    }
+    tiered = PgoOptions(w.base,
+                        engine_->InsertProfile(w.spec.name + "#sampled", std::move(sampled)));
   }
 
   engine_->background_recompiles_.fetch_add(1, std::memory_order_relaxed);

@@ -28,6 +28,7 @@
 #ifndef SRC_ENGINE_TIERER_H_
 #define SRC_ENGINE_TIERER_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -42,7 +43,12 @@ namespace engine {
 
 class BackgroundTierer {
  public:
-  BackgroundTierer(Engine* engine, uint64_t hot_samples, double scan_period_seconds);
+  // A watched module is hot once its sample total reaches kHotSamples; the
+  // scan thread checks every kScanPeriod (Drain() wakes it early).
+  static constexpr uint64_t kHotSamples = 64;
+  static constexpr std::chrono::milliseconds kScanPeriod{5};
+
+  explicit BackgroundTierer(Engine* engine);
   ~BackgroundTierer();  // Stop() + join
 
   // Registers base-tier code for tier-up watching. Deduped by the compiled
@@ -84,8 +90,6 @@ class BackgroundTierer {
   bool PendingLocked() const;
 
   Engine* engine_;
-  const uint64_t hot_samples_;
-  const double scan_period_seconds_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;       // wakes the scan thread

@@ -277,169 +277,6 @@ bool Profile::ParseBinary(const std::vector<uint8_t>& bytes, Profile* out,
   return true;
 }
 
-// --- Text serialization ---
-
-std::string Profile::SerializeText() const {
-  std::string out = StrFormat("nsfprofile v%u funcs %u\n", kVersion, num_funcs());
-  for (uint32_t i = 0; i < num_funcs(); i++) {
-    const FuncProfile& fp = funcs_[i];
-    out += StrFormat("func %u entries %llu instrs %llu\n", i,
-                     static_cast<unsigned long long>(fp.entry_count),
-                     static_cast<unsigned long long>(fp.instrs_retired));
-    for (size_t s = 0; s < fp.loop_trips.size(); s++) {
-      out += StrFormat("  loop %zu %llu\n", s,
-                       static_cast<unsigned long long>(fp.loop_trips[s]));
-    }
-    for (size_t s = 0; s < fp.branches.size(); s++) {
-      out += StrFormat("  branch %zu %llu %llu\n", s,
-                       static_cast<unsigned long long>(fp.branches[s].taken),
-                       static_cast<unsigned long long>(fp.branches[s].not_taken));
-    }
-    for (size_t s = 0; s < fp.indirect_sites.size(); s++) {
-      out += StrFormat("  indirect %zu", s);
-      for (const auto& [elem, count] : fp.indirect_sites[s].targets) {
-        out += StrFormat(" %u:%llu", elem, static_cast<unsigned long long>(count));
-      }
-      out += "\n";
-    }
-  }
-  return out;
-}
-
-namespace {
-
-// Strict decimal u64 parse: the whole string must be digits and fit. Avoids
-// std::stoull, which throws on garbage instead of honoring the bool+error
-// contract.
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty() || s.size() > 20) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) {
-      return false;
-    }
-    v = v * 10 + digit;
-  }
-  *out = v;
-  return true;
-}
-
-bool ParseU32(const std::string& s, uint32_t* out) {
-  uint64_t v = 0;
-  if (!ParseU64(s, &v) || v > UINT32_MAX) {
-    return false;
-  }
-  *out = static_cast<uint32_t>(v);
-  return true;
-}
-
-// Site indices in text profiles are bounded like the binary form, so one bad
-// line cannot force a multi-gigabyte resize.
-constexpr uint32_t kMaxTextSite = 1u << 24;
-
-}  // namespace
-
-bool Profile::ParseText(const std::string& text, Profile* out, std::string* error) {
-  std::vector<std::string> lines = StrSplit(text, '\n');
-  auto fields = [](const std::string& line) {
-    std::vector<std::string> raw = StrSplit(line, ' ');
-    std::vector<std::string> kept;
-    for (std::string& f : raw) {
-      if (!f.empty()) {
-        kept.push_back(std::move(f));
-      }
-    }
-    return kept;
-  };
-  size_t ln = 0;
-  auto fail = [&](const char* msg) {
-    *error = StrFormat("profile text line %zu: %s", ln + 1, msg);
-    return false;
-  };
-  if (lines.empty()) {
-    return fail("empty input");
-  }
-  std::vector<std::string> header = fields(lines[0]);
-  uint32_t num_funcs = 0;
-  if (header.size() != 4 || header[0] != "nsfprofile" ||
-      header[1] != StrFormat("v%u", kVersion) || header[2] != "funcs" ||
-      !ParseU32(header[3], &num_funcs) || num_funcs > kMaxTextSite) {
-    return fail("bad header");
-  }
-  Profile p(num_funcs);
-  FuncProfile* cur = nullptr;
-  for (ln = 1; ln < lines.size(); ln++) {
-    std::vector<std::string> f = fields(lines[ln]);
-    if (f.empty()) {
-      continue;
-    }
-    if (f[0] == "func") {
-      uint32_t idx = 0;
-      if (f.size() != 6 || f[2] != "entries" || f[4] != "instrs" || !ParseU32(f[1], &idx)) {
-        return fail("bad func line");
-      }
-      if (idx >= p.num_funcs()) {
-        return fail("func index out of range");
-      }
-      cur = &p.func(idx);
-      if (!ParseU64(f[3], &cur->entry_count) || !ParseU64(f[5], &cur->instrs_retired)) {
-        return fail("bad func counts");
-      }
-    } else if (f[0] == "loop") {
-      uint32_t site = 0;
-      if (cur == nullptr || f.size() != 3 || !ParseU32(f[1], &site) || site > kMaxTextSite) {
-        return fail("bad loop line");
-      }
-      if (cur->loop_trips.size() <= site) {
-        cur->loop_trips.resize(site + 1, 0);
-      }
-      if (!ParseU64(f[2], &cur->loop_trips[site])) {
-        return fail("bad loop count");
-      }
-    } else if (f[0] == "branch") {
-      uint32_t site = 0;
-      if (cur == nullptr || f.size() != 4 || !ParseU32(f[1], &site) || site > kMaxTextSite) {
-        return fail("bad branch line");
-      }
-      if (cur->branches.size() <= site) {
-        cur->branches.resize(site + 1);
-      }
-      if (!ParseU64(f[2], &cur->branches[site].taken) ||
-          !ParseU64(f[3], &cur->branches[site].not_taken)) {
-        return fail("bad branch counts");
-      }
-    } else if (f[0] == "indirect") {
-      uint32_t site = 0;
-      if (cur == nullptr || f.size() < 2 || !ParseU32(f[1], &site) || site > kMaxTextSite) {
-        return fail("bad indirect line");
-      }
-      if (cur->indirect_sites.size() <= site) {
-        cur->indirect_sites.resize(site + 1);
-      }
-      for (size_t i = 2; i < f.size(); i++) {
-        size_t colon = f[i].find(':');
-        uint32_t elem = 0;
-        uint64_t count = 0;
-        if (colon == std::string::npos || !ParseU32(f[i].substr(0, colon), &elem) ||
-            !ParseU64(f[i].substr(colon + 1), &count)) {
-          return fail("bad histogram entry");
-        }
-        cur->indirect_sites[site].targets[elem] = count;
-      }
-    } else {
-      return fail("unknown directive");
-    }
-  }
-  *out = std::move(p);
-  return true;
-}
-
 ProfileCollector::ProfileCollector(const Module& module)
     : profile_(Profile::ForModule(module)) {
   site_maps_.reserve(module.functions.size());

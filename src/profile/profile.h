@@ -90,9 +90,6 @@ class Profile {
   std::vector<uint8_t> SerializeBinary() const;
   static bool ParseBinary(const std::vector<uint8_t>& bytes, Profile* out,
                           std::string* error);
-  // Human-readable text form; also round-trips.
-  std::string SerializeText() const;
-  static bool ParseText(const std::string& text, Profile* out, std::string* error);
 
   bool operator==(const Profile&) const = default;
 

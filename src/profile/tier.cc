@@ -25,7 +25,7 @@ class ForwardingResolver : public ImportResolver {
 
 }  // namespace
 
-bool TierManager::Collect(const WorkloadSpec& spec, Profile* out, std::string* error) const {
+bool CollectProfile(const WorkloadSpec& spec, Profile* out, std::string* error) {
   Module module = spec.build();
   ValidationResult vr = ValidateModule(module);
   if (!vr.ok) {
@@ -53,14 +53,8 @@ bool TierManager::Collect(const WorkloadSpec& spec, Profile* out, std::string* e
 
   ProfileCollector collector(module);
   instance->set_profile_collector(&collector);
-  if (config_.profile_fuel != 0) {
-    instance->set_fuel(config_.profile_fuel);
-  }
   ExecResult r = instance->CallExport(spec.entry, {});
-  // A fuel-capped warm-up that runs out of budget is the expected way to
-  // bound profiling cost: the truncated profile is exactly the artifact we
-  // wanted. Any other trap means the profile is untrustworthy.
-  if (!r.ok && !(config_.profile_fuel != 0 && r.trap == TrapKind::kFuelExhausted)) {
+  if (!r.ok) {
     *error = spec.name + ": warm-up run trapped: " + r.error;
     return false;
   }
@@ -69,18 +63,13 @@ bool TierManager::Collect(const WorkloadSpec& spec, Profile* out, std::string* e
   return true;
 }
 
-const Profile* TierManager::Insert(const std::string& name, Profile profile) {
-  auto inserted = cache_.emplace(name, std::move(profile));
-  return &inserted.first->second;
-}
-
-CodegenOptions TierManager::TierUp(const CodegenOptions& base, const Profile* profile) const {
+CodegenOptions PgoOptions(const CodegenOptions& base, const Profile* profile) {
   CodegenOptions tiered = base;
   tiered.profile_name = base.profile_name + "+pgo";
   tiered.profile = profile;
-  tiered.pgo_layout = config_.layout;
-  tiered.pgo_rotate_hot_loops = config_.rotate_hot_loops;
-  tiered.devirtualize_monomorphic = config_.devirtualize;
+  tiered.pgo_layout = true;
+  tiered.pgo_rotate_hot_loops = true;
+  tiered.devirtualize_monomorphic = true;
   return tiered;
 }
 

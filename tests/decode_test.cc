@@ -4,8 +4,8 @@
 // interpreter (SimDispatch::kLegacy) — on real workloads, on trap paths
 // (OOB / call-stack / fuel), and on fused-branch edge cases. Also covers the
 // predecode structure itself (fusion rules, generic fallback), the
-// session-owned SimBufferPool scrub contract, and the TieringPolicy
-// run-history table that feeds LPT scheduling.
+// session-owned SimBufferPool scrub contract, and the run history that
+// feeds LPT scheduling.
 #include "src/machine/decode.h"
 
 #include <gtest/gtest.h>
@@ -429,18 +429,19 @@ TEST(SimBufferPool, PooledRunsAreBitIdenticalToFresh) {
   EXPECT_GE(session.buffer_pool().reuses(), 2u);
 }
 
-// --- Run-history table / LPT estimates (TieringPolicy satellites) ---
+// --- Run history / LPT estimates ---
 
-TEST(RunHistory, ObservedSecondsPreferredOverProfiledWork) {
-  engine::TieringPolicy policy;
-  EXPECT_EQ(policy.ObservedRuns("k"), 0u);
-  EXPECT_EQ(policy.EstimateSeconds("k"), 0.0);  // cold: FIFO fallback
+TEST(RunHistory, ObservedSecondsIsTheMeanOfRecordedRuns) {
+  engine::RunHistory history;
+  uint64_t runs = 99;
+  EXPECT_EQ(history.ObservedSeconds("k", &runs), 0.0);  // cold: FIFO fallback
+  EXPECT_EQ(runs, 0u);
 
-  policy.RecordRun("k", 2.0);
-  policy.RecordRun("k", 4.0);
-  EXPECT_EQ(policy.ObservedRuns("k"), 2u);
-  EXPECT_DOUBLE_EQ(policy.ObservedSeconds("k"), 3.0);
-  EXPECT_DOUBLE_EQ(policy.EstimateSeconds("k"), 3.0);  // observed mean wins
+  history.RecordRun("k", 2.0);
+  history.RecordRun("k", 4.0);
+  EXPECT_EQ(history.ObservedRuns("k"), 2u);
+  EXPECT_DOUBLE_EQ(history.ObservedSeconds("k", &runs), 3.0);
+  EXPECT_EQ(runs, 2u);
 }
 
 TEST(RunHistory, BatchRunsFeedTheTableAndLptUsesIt) {
@@ -464,8 +465,8 @@ TEST(RunHistory, BatchRunsFeedTheTableAndLptUsesIt) {
   // Nothing observed before the first batch...
   EXPECT_EQ(cold.lpt_observed_requests, 0u);
   // ...but the batch itself populated the history.
-  EXPECT_EQ(eng.tiering().ObservedRuns("trisolv"), 1u);
-  EXPECT_GT(eng.tiering().ObservedSeconds("trisolv"), 0.0);
+  EXPECT_EQ(eng.history().ObservedRuns("trisolv"), 1u);
+  EXPECT_GT(eng.history().ObservedSeconds("trisolv"), 0.0);
 
   engine::BatchReport warm = pool.Run(requests, engine::SchedulePolicy::kLpt);
   ASSERT_TRUE(warm.all_ok());

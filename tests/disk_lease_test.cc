@@ -298,7 +298,7 @@ TEST(DiskFault, UnusableCacheDirectoryNeverFailsCompileOrRun) {
   EXPECT_EQ(eng.Stats().disk_stores, 0u);
   EXPECT_EQ(eng.Stats().compiles, 1u);
 
-  eng.tiering().RecordRun("sum_squares", run.seconds);
+  eng.history().RecordRun("sum_squares", run.seconds);
   EXPECT_FALSE(eng.SaveRunHistory());
   EXPECT_TRUE(fs::is_regular_file(dir.path)) << "the blocking file is left alone";
 }

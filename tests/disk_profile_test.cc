@@ -2,7 +2,8 @@
 // code artifacts as nsfp- files, are invisible to the byte counter and LRU
 // bound that govern nsfa- artifacts, survive to the next "process" (fresh
 // Engine on the same directory), and let that warm process skip the
-// interpreter warm-up entirely.
+// interpreter warm-up entirely. A warm-up that traps leaves no profile
+// behind, on disk or in memory.
 #include "src/engine/disk_cache.h"
 
 #include <unistd.h>
@@ -145,6 +146,36 @@ TEST(DiskProfile, WarmProcessSkipsInterpreterWarmup) {
   EXPECT_EQ(eng2.Stats().tier_warmups, 0u);
   EXPECT_EQ(tiered.profile->func(0).entry_count, cold_entry_count);
   EXPECT_EQ(tiered.profile_name, base.profile_name + "+pgo");
+}
+
+TEST(DiskProfile, FailedWarmupReturnsBaseAndPersistsNothing) {
+  TempCacheDir dir("failed");
+  WorkloadSpec spec;
+  spec.name = "traps";
+  spec.build = [] {
+    ModuleBuilder mb("traps");
+    mb.AddFunction("main", {}, {}).Unreachable();
+    return mb.Build();
+  };
+  const CodegenOptions base = CodegenOptions::ChromeV8();
+  engine::EngineConfig config;
+  config.cache_dir = dir.path;
+  engine::Engine eng(config);
+
+  std::string error;
+  CodegenOptions tiered = eng.TierUp(spec, base, &error);
+  EXPECT_EQ(tiered.profile, nullptr);
+  EXPECT_EQ(tiered.Fingerprint(), base.Fingerprint());
+  EXPECT_NE(error.find("unreachable"), std::string::npos) << error;
+  EXPECT_EQ(eng.Stats().tier_warmups, 1u);
+  // A trapped run's profile is neither persisted...
+  EXPECT_FALSE(fs::exists(eng.cache().disk().ProfilePathForName(spec.name)));
+  // ...nor cached: the next call warms up again.
+  error.clear();
+  tiered = eng.TierUp(spec, base, &error);
+  EXPECT_EQ(tiered.profile, nullptr);
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(eng.Stats().tier_warmups, 2u);
 }
 
 }  // namespace

@@ -253,7 +253,7 @@ TEST(EngineConcurrency, FailedCompilesAreSharedButNeverCached) {
 
 TEST(EngineConcurrency, ConcurrentTierUpsConvergeOnOneProfilePerName) {
   // 2 * kThreads racers tier up kThreads DISTINCT workloads, two racers per
-  // name. Warm-ups run outside the policy lock and same-name racers are not
+  // name. Warm-ups run outside the profile lock and same-name racers are not
   // deduplicated, so the warm-up count is bounded rather than exact: at
   // least one per name, at most one per racer. Every racer must still get
   // profiled options, identical per name (the first Insert wins, so all of a
@@ -406,10 +406,10 @@ TEST(EngineConcurrency, RacingStoresWithTinyBudgetNeverBreakResults) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ExecutorPool, LptSchedulesByProfiledWorkFifoKeepsOrder) {
+TEST(ExecutorPool, LptSchedulesByObservedSecondsFifoKeepsOrder) {
   engine::Engine eng;
-  // Three workloads with very different profiled work: writer_big interprets
-  // far more instructions than writer_small during warm-up.
+  // Two workloads with very different work: lpt_big runs 500x the loop
+  // iterations of lpt_small.
   auto spec_of = [](const std::string& name, int reps) {
     WorkloadSpec spec;
     spec.name = name;
@@ -426,14 +426,11 @@ TEST(ExecutorPool, LptSchedulesByProfiledWorkFifoKeepsOrder) {
   };
   WorkloadSpec small = spec_of("lpt_small", 10);
   WorkloadSpec big = spec_of("lpt_big", 5000);
-  std::string err;
-  eng.TierUp(small, CodegenOptions::ChromeV8(), &err);
-  ASSERT_TRUE(err.empty()) << err;
-  eng.TierUp(big, CodegenOptions::ChromeV8(), &err);
-  ASSERT_TRUE(err.empty()) << err;
-  // No run history yet, so the estimate falls back to the warm-up profile.
-  EXPECT_GT(eng.tiering().EstimateSeconds("lpt_big"), eng.tiering().EstimateSeconds("lpt_small"));
-  EXPECT_EQ(eng.tiering().EstimateSeconds("never_profiled"), 0.0);
+  // Seed the run history as earlier batches would have.
+  eng.history().RecordRun("lpt_small", 1e-6);
+  eng.history().RecordRun("lpt_big", 5e-4);
+  EXPECT_GT(eng.history().ObservedSeconds("lpt_big"), eng.history().ObservedSeconds("lpt_small"));
+  EXPECT_EQ(eng.history().ObservedSeconds("never_run"), 0.0);
 
   // Queue order: small first. Under LPT with ONE worker, the big job must
   // execute first (its run finishes earlier in the worker's timeline); under
@@ -450,6 +447,7 @@ TEST(ExecutorPool, LptSchedulesByProfiledWorkFifoKeepsOrder) {
   engine::BatchReport lpt = pool.Run({small_req, big_req}, engine::SchedulePolicy::kLpt);
   ASSERT_TRUE(lpt.all_ok());
   EXPECT_EQ(lpt.schedule, engine::SchedulePolicy::kLpt);
+  EXPECT_EQ(lpt.lpt_observed_requests, 2u);
   // Results stay (request_index, rep)-ordered even though dispatch reordered.
   ASSERT_EQ(lpt.runs.size(), 2u);
   EXPECT_EQ(lpt.runs[0].request_index, 0u);

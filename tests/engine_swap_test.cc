@@ -187,8 +187,6 @@ TEST(BackgroundTierer, SamplesDriveRecompileAndSwap) {
   config.cache_dir = "";
   config.sample_period = 16;
   config.background_tiering = true;
-  config.tier_hot_samples = 8;
-  config.tier_scan_period_seconds = 0.001;
   engine::Engine eng(config);
 
   WorkloadSpec spec;
@@ -201,7 +199,7 @@ TEST(BackgroundTierer, SamplesDriveRecompileAndSwap) {
   EXPECT_EQ(base->profile_name(), "chrome-v8");
 
   // Drive sampled load: 20000 back-edges per run at period 16 crosses the
-  // 8-sample threshold on the first run.
+  // 64-sample threshold (BackgroundTierer::kHotSamples) on the first run.
   engine::Session session(&eng);
   engine::RunOutcome cold = RunCode(&session, base);
   ASSERT_TRUE(cold.ok) << cold.error;
@@ -248,12 +246,12 @@ TEST(BackgroundTierer, ColdModulesAreNeverTiered) {
   config.cache_dir = "";
   config.sample_period = 64;
   config.background_tiering = true;
-  config.tier_hot_samples = 1000000;  // unreachably hot
-  config.tier_scan_period_seconds = 0.001;
   engine::Engine eng(config);
 
   WorkloadSpec spec;
   spec.name = "bg_cold";
+  // 100 back-edges at period 64: one or two samples, far below the
+  // 64-sample threshold.
   spec.build = [] { return LoopModule(100); };
   engine::CompiledModuleRef base = eng.CompileWorkload(spec, CodegenOptions::ChromeV8());
   ASSERT_TRUE(base->ok);

@@ -620,46 +620,43 @@ TEST(RunHistory, PersistsAcrossEnginesViaCacheDir) {
   TempCacheDir dir("runhistory");
   {
     engine::Engine eng(DiskConfig(dir.path));
-    eng.tiering().RecordRun("trisolv", 2.0);
-    eng.tiering().RecordRun("trisolv", 4.0);
-    eng.tiering().RecordRun("atax", 1.0);
-    // Destructor saves cache_dir/run_history.
+    eng.history().RecordRun("trisolv", 2.0);
+    eng.history().RecordRun("trisolv", 4.0);
+    eng.history().RecordRun("atax", 1.0);
+    // Destructor flushes cache_dir/run_history.
   }
   engine::Engine fresh(DiskConfig(dir.path));
-  EXPECT_EQ(fresh.tiering().ObservedRuns("trisolv"), 2u);
-  EXPECT_DOUBLE_EQ(fresh.tiering().ObservedSeconds("trisolv"), 3.0);
-  EXPECT_EQ(fresh.tiering().ObservedRuns("atax"), 1u);
-  // The estimator that LPT scheduling consults sees the loaded history too.
   uint64_t observed = 0;
-  EXPECT_DOUBLE_EQ(fresh.tiering().EstimateSeconds("trisolv", &observed), 3.0);
+  EXPECT_DOUBLE_EQ(fresh.history().ObservedSeconds("trisolv", &observed), 3.0);
   EXPECT_EQ(observed, 2u);
+  EXPECT_EQ(fresh.history().ObservedRuns("atax"), 1u);
 }
 
 TEST(RunHistory, LoadMergesAndResavesAccumulatedTotals) {
   TempCacheDir dir("runhistory-merge");
   {
     engine::Engine first(DiskConfig(dir.path));
-    first.tiering().RecordRun("gemm", 1.0);
+    first.history().RecordRun("gemm", 1.0);
   }
   {
     // Second process: starts from the saved table, adds its own runs, and
     // saves the merged totals on destruction.
     engine::Engine second(DiskConfig(dir.path));
-    EXPECT_EQ(second.tiering().ObservedRuns("gemm"), 1u);
-    second.tiering().RecordRun("gemm", 3.0);
+    EXPECT_EQ(second.history().ObservedRuns("gemm"), 1u);
+    second.history().RecordRun("gemm", 3.0);
   }
   engine::Engine third(DiskConfig(dir.path));
-  EXPECT_EQ(third.tiering().ObservedRuns("gemm"), 2u);
-  EXPECT_DOUBLE_EQ(third.tiering().ObservedSeconds("gemm"), 2.0);
+  EXPECT_EQ(third.history().ObservedRuns("gemm"), 2u);
+  EXPECT_DOUBLE_EQ(third.history().ObservedSeconds("gemm"), 2.0);
 }
 
 TEST(RunHistory, ExplicitSaveAndNamesWithSpacesRoundTrip) {
   TempCacheDir dir("runhistory-names");
   engine::Engine eng(DiskConfig(dir.path));
-  eng.tiering().RecordRun("name with spaces", 0.5);
+  eng.history().RecordRun("name with spaces", 0.5);
   ASSERT_TRUE(eng.SaveRunHistory());
-  engine::TieringPolicy fresh;
-  ASSERT_TRUE(fresh.LoadHistory(eng.RunHistoryPath()));
+  engine::RunHistory fresh;
+  ASSERT_TRUE(fresh.Load(eng.RunHistoryPath()));
   EXPECT_EQ(fresh.ObservedRuns("name with spaces"), 1u);
   EXPECT_DOUBLE_EQ(fresh.ObservedSeconds("name with spaces"), 0.5);
 }
@@ -676,16 +673,16 @@ TEST(RunHistory, UnparsableLinesAreSkippedNeverFatal) {
   fputs("0 1.0 zero-runs-key\n", f); // zero runs: skipped
   fputs("5 nan-ish\n", f);           // no name field
   fclose(f);
-  engine::TieringPolicy policy;
-  EXPECT_TRUE(policy.LoadHistory(path));
-  EXPECT_EQ(policy.HistorySize(), 1u);
-  EXPECT_EQ(policy.ObservedRuns("lu"), 3u);
-  EXPECT_DOUBLE_EQ(policy.ObservedSeconds("lu"), 0.25);
+  engine::RunHistory history;
+  EXPECT_TRUE(history.Load(path));
+  EXPECT_EQ(history.size(), 1u);
+  EXPECT_EQ(history.ObservedRuns("lu"), 3u);
+  EXPECT_DOUBLE_EQ(history.ObservedSeconds("lu"), 0.25);
 }
 
 TEST(RunHistory, DisabledWithoutCacheDir) {
   engine::Engine eng;  // NSF_CACHE_DIR scrubbed above: no disk tier
-  eng.tiering().RecordRun("trisolv", 1.0);
+  eng.history().RecordRun("trisolv", 1.0);
   EXPECT_EQ(eng.RunHistoryPath(), "");
   EXPECT_FALSE(eng.SaveRunHistory());
 }
@@ -694,17 +691,36 @@ TEST(RunHistory, EmptyTableLeavesPreviousFileUntouched) {
   TempCacheDir dir("runhistory-empty");
   {
     engine::Engine eng(DiskConfig(dir.path));
-    eng.tiering().RecordRun("trisolv", 2.0);
+    eng.history().RecordRun("trisolv", 2.0);
   }
   {
     engine::Engine idle(DiskConfig(dir.path));
-    // Loaded history counts as content, so an idle engine re-saves it — but
-    // a TieringPolicy that never observed anything must not clobber a file.
-    engine::TieringPolicy empty;
-    EXPECT_FALSE(empty.SaveHistory(idle.RunHistoryPath()));
+    // An idle engine records nothing, so its destructor writes nothing; and
+    // a RunHistory that never observed anything must not clobber a file.
+    engine::RunHistory empty;
+    EXPECT_FALSE(empty.Save(idle.RunHistoryPath()));
   }
   engine::Engine check(DiskConfig(dir.path));
-  EXPECT_EQ(check.tiering().ObservedRuns("trisolv"), 1u);
+  EXPECT_EQ(check.history().ObservedRuns("trisolv"), 1u);
+}
+
+TEST(RunHistory, IdleEngineDoesNotOverwriteNewerHistory) {
+  // An engine that recorded nothing must not write back the table it loaded
+  // at construction: another process may have flushed newer runs since.
+  TempCacheDir dir("runhistory-idle");
+  {
+    engine::Engine first(DiskConfig(dir.path));
+    first.history().RecordRun("gemm", 1.0);
+  }
+  {
+    engine::Engine idle(DiskConfig(dir.path));
+    engine::Engine busy(DiskConfig(dir.path));
+    busy.history().RecordRun("gemm", 3.0);
+    ASSERT_TRUE(busy.FlushRunHistory());  // the file now holds 2 runs
+    // `busy` is destroyed first (clean, writes nothing), then `idle`.
+  }
+  engine::Engine fresh(DiskConfig(dir.path));
+  EXPECT_EQ(fresh.history().ObservedRuns("gemm"), 2u);
 }
 
 TEST(BatchReport, FinalizeCountsOnlyOkRunsIntoTotalsAndMakespan) {
@@ -800,17 +816,17 @@ TEST(RunHistory, ExplicitFlushPersistsWithoutDestruction) {
   // a cheap no-op while clean (the dirty counter gates the write).
   TempCacheDir dir("runhistory-flush");
   engine::Engine eng(DiskConfig(dir.path));
-  EXPECT_EQ(eng.tiering().HistoryDirty(), 0u);
+  EXPECT_EQ(eng.history().dirty(), 0u);
   EXPECT_FALSE(eng.FlushRunHistory());  // clean: nothing to write
-  eng.tiering().RecordRun("lu", 0.5);
-  eng.tiering().RecordRun("lu", 1.5);
-  EXPECT_EQ(eng.tiering().HistoryDirty(), 2u);
+  eng.history().RecordRun("lu", 0.5);
+  eng.history().RecordRun("lu", 1.5);
+  EXPECT_EQ(eng.history().dirty(), 2u);
   EXPECT_TRUE(eng.FlushRunHistory());
-  EXPECT_EQ(eng.tiering().HistoryDirty(), 0u);
+  EXPECT_EQ(eng.history().dirty(), 0u);
   EXPECT_FALSE(eng.FlushRunHistory());  // clean again
   // The file is already readable while the engine lives.
-  engine::TieringPolicy fresh;
-  EXPECT_TRUE(fresh.LoadHistory(eng.RunHistoryPath()));
+  engine::RunHistory fresh;
+  EXPECT_TRUE(fresh.Load(eng.RunHistoryPath()));
   EXPECT_EQ(fresh.ObservedRuns("lu"), 2u);
   EXPECT_DOUBLE_EQ(fresh.ObservedSeconds("lu"), 1.0);
 }

@@ -1,8 +1,8 @@
 // Tests for the PGO subsystem (src/profile/): collection determinism and
-// exact site counts, binary/text serialization round-trips, hot-function
-// ranking, and the profile-guided codegen transforms (layout, cold-arm
-// sinking, devirtualization) — including that PGO layout actually changes
-// emitted code order without changing semantics.
+// exact site counts, binary serialization round-trips, hot-function ranking,
+// the profile-guided codegen transforms (layout, cold-arm sinking,
+// devirtualization) — including that PGO layout actually changes emitted
+// code order without changing semantics — and Engine::TierUp.
 #include "src/profile/profile.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "src/harness/harness.h"
 #include "src/interp/interp.h"
 #include "src/polybench/polybench.h"
-#include "src/profile/tier.h"
 #include "src/wasm/validator.h"
 
 namespace nsf {
@@ -183,16 +182,6 @@ TEST(ProfileSerialization, BinaryRoundTripByteIdentical) {
   EXPECT_EQ(parsed.SerializeBinary(), bytes);
 }
 
-TEST(ProfileSerialization, TextRoundTrip) {
-  Profile p = SamplePayload();
-  std::string text = p.SerializeText();
-  Profile parsed;
-  std::string error;
-  ASSERT_TRUE(Profile::ParseText(text, &parsed, &error)) << error;
-  EXPECT_EQ(parsed, p);
-  EXPECT_EQ(parsed.SerializeText(), text);
-}
-
 TEST(ProfileSerialization, RejectsMalformedInput) {
   Profile out;
   std::string error;
@@ -201,7 +190,6 @@ TEST(ProfileSerialization, RejectsMalformedInput) {
   std::vector<uint8_t> truncated = SamplePayload().SerializeBinary();
   truncated.resize(truncated.size() / 2);
   EXPECT_FALSE(Profile::ParseBinary(truncated, &out, &error));
-  EXPECT_FALSE(Profile::ParseText("not a profile", &out, &error));
 }
 
 TEST(ProfileRanking, HotFunctionsFirst) {
@@ -343,45 +331,32 @@ TEST(PgoCodegen, HotLoopRotationCutsBranches) {
   EXPECT_LE(after.cycles(), before.cycles());
 }
 
-TEST(TierManagerTest, TierUpSetsFlagsAndCachesProfiles) {
-  TierManager tiers;
+TEST(TierUpTest, SetsFlagsAndCachesOneProfilePerName) {
+  engine::EngineConfig config;
+  config.cache_dir = "";  // a disk-tier profile would skip the warm-up
+  engine::Engine eng(config);
   WorkloadSpec spec = PolybenchSpec("gemm");
   std::string error;
-  Profile collected;
-  ASSERT_TRUE(tiers.Collect(spec, &collected, &error)) << error;
-  EXPECT_GT(collected.total_instrs(), 0u);
-  const Profile* p1 = tiers.Insert(spec.name, std::move(collected));
-  EXPECT_EQ(tiers.CachedProfile(spec.name), p1);
-  const Profile* p2 = tiers.Insert(spec.name, Profile());
-  EXPECT_EQ(p1, p2);  // first writer wins
-  EXPECT_GT(p2->total_instrs(), 0u);
+  CodegenOptions chrome = eng.TierUp(spec, CodegenOptions::ChromeV8(), &error);
+  ASSERT_NE(chrome.profile, nullptr) << error;
+  EXPECT_GT(chrome.profile->total_instrs(), 0u);
+  // The profile is cached per workload name, whatever the base options.
+  CodegenOptions firefox = eng.TierUp(spec, CodegenOptions::FirefoxSM(), &error);
+  EXPECT_EQ(firefox.profile, chrome.profile);
+  EXPECT_EQ(eng.Stats().tier_warmups, 1u);
 
-  CodegenOptions tiered = tiers.TierUp(CodegenOptions::ChromeV8(), p1);
-  EXPECT_EQ(tiered.profile, p1);
-  EXPECT_TRUE(tiered.pgo_layout);
-  EXPECT_TRUE(tiered.pgo_rotate_hot_loops);
-  EXPECT_TRUE(tiered.devirtualize_monomorphic);
-  EXPECT_EQ(tiered.profile_name, "chrome-v8+pgo");
+  for (const CodegenOptions& tiered : {chrome, firefox}) {
+    EXPECT_TRUE(tiered.pgo_layout);
+    EXPECT_TRUE(tiered.pgo_rotate_hot_loops);
+    EXPECT_TRUE(tiered.devirtualize_monomorphic);
+  }
+  EXPECT_EQ(chrome.profile_name, "chrome-v8+pgo");
+  EXPECT_EQ(firefox.profile_name, "firefox-spidermonkey+pgo");
 }
 
-TEST(TierManagerTest, FuelCappedWarmUpStillYieldsAProfile) {
-  // A profiling budget that expires is the intended way to bound warm-up
-  // cost; the truncated profile must still be returned.
-  TierConfig config;
-  config.profile_fuel = 10000;  // far below gemm's full interpreter run
-  TierManager tiers(config);
-  WorkloadSpec spec = PolybenchSpec("gemm");
-  std::string error;
-  Profile p;
-  ASSERT_TRUE(tiers.Collect(spec, &p, &error)) << error;
-  EXPECT_GT(p.total_instrs(), 0u);
-  // The instruction that trips the budget is itself counted.
-  EXPECT_LE(p.total_instrs(), 10001u);
-}
-
-TEST(TierManagerTest, TieredRunValidatesAndDoesNotRegress) {
-  // Tier-up through the Engine's TieringPolicy: the warm-up profile is
-  // engine-owned, so the tiered options outlive this scope safely.
+TEST(TierUpTest, TieredRunValidatesAndDoesNotRegress) {
+  // The warm-up profile is engine-owned, so the tiered options outlive this
+  // scope safely.
   BenchHarness harness;
   WorkloadSpec spec = PolybenchSpec("gemm");
   CodegenOptions base = CodegenOptions::ChromeV8();

@@ -250,8 +250,6 @@ TEST(ServingLoop, SmokeAccountsEveryArrivalAtEightWorkers) {
   engine::EngineConfig engine_config;
   engine_config.sample_period = 16;
   engine_config.background_tiering = true;
-  engine_config.tier_hot_samples = 8;
-  engine_config.tier_scan_period_seconds = 0.001;
   engine::Engine eng(engine_config);
   engine::ServingConfig config;
   config.workers = 8;
@@ -292,8 +290,9 @@ TEST(ServingLoop, SmokeAccountsEveryArrivalAtEightWorkers) {
   }
   // The workload mixes are distinct, so somebody paid each backend compile.
   EXPECT_GT(cold_compiles, 0u);
-  // Every served module is hot after one run (>= 1000 back-edges at period
-  // 16), so the tierer warms up and swaps at least one of them.
+  // serve_medium and serve_spiky cross the 64-sample threshold in one run
+  // (>= 5000 back-edges at period 16), so the tierer warms up and swaps at
+  // least one module.
   eng.DrainTierer();
   EXPECT_GE(eng.Stats().tier_warmups, 1u);
   EXPECT_GE(eng.Stats().tier_swaps, 1u);
@@ -371,8 +370,8 @@ TEST(ServingLoop, PeriodicallyFlushesRunHistoryWithoutDestruction) {
   // The observations are already durable while the engine is still alive —
   // a later crash loses nothing this loop learned.
   ASSERT_TRUE(std::filesystem::exists(eng.RunHistoryPath()));
-  engine::TieringPolicy fresh;
-  EXPECT_TRUE(fresh.LoadHistory(eng.RunHistoryPath()));
+  engine::RunHistory fresh;
+  EXPECT_TRUE(fresh.Load(eng.RunHistoryPath()));
   EXPECT_GT(fresh.ObservedRuns("serve_durable"), 0u);
 }
 
