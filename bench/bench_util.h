@@ -189,47 +189,6 @@ inline std::string EngineStatsJson(const engine::EngineStats& s) {
       static_cast<unsigned long long>(s.background_recompiles));
 }
 
-// after - before, field by field: the one subtraction path for scoping a
-// stats snapshot to a phase/leg (benches previously hand-rolled per-field
-// deltas at every call site).
-inline engine::EngineStats EngineStatsDelta(const engine::EngineStats& after,
-                                            const engine::EngineStats& before) {
-  engine::EngineStats d;
-  d.cache_hits = after.cache_hits - before.cache_hits;
-  d.cache_misses = after.cache_misses - before.cache_misses;
-  d.compiles = after.compiles - before.compiles;
-  d.compile_joins = after.compile_joins - before.compile_joins;
-  d.tier_warmups = after.tier_warmups - before.tier_warmups;
-  d.lock_waits = after.lock_waits - before.lock_waits;
-  d.lock_wait_seconds = after.lock_wait_seconds - before.lock_wait_seconds;
-  d.compile_seconds = after.compile_seconds - before.compile_seconds;
-  d.compile_seconds_saved = after.compile_seconds_saved - before.compile_seconds_saved;
-  d.disk_hits = after.disk_hits - before.disk_hits;
-  d.disk_misses = after.disk_misses - before.disk_misses;
-  d.disk_evictions = after.disk_evictions - before.disk_evictions;
-  d.disk_load_failures = after.disk_load_failures - before.disk_load_failures;
-  d.disk_stores = after.disk_stores - before.disk_stores;
-  d.disk_lease_waits = after.disk_lease_waits - before.disk_lease_waits;
-  d.disk_lease_takeovers = after.disk_lease_takeovers - before.disk_lease_takeovers;
-  d.deserialize_seconds = after.deserialize_seconds - before.deserialize_seconds;
-  d.serialize_seconds = after.serialize_seconds - before.serialize_seconds;
-  d.verify_rejects = after.verify_rejects - before.verify_rejects;
-  d.tier_swaps = after.tier_swaps - before.tier_swaps;
-  d.background_recompiles = after.background_recompiles - before.background_recompiles;
-  return d;
-}
-
-// EngineStatsJson plus bench-specific keys appended inside the same object —
-// the one emission path for per-phase stats blocks (engine_persist and
-// engine_parallel previously each hand-picked fields with StrFormat).
-inline std::string EngineStatsJsonWith(const engine::EngineStats& s, const std::string& extra) {
-  std::string base = EngineStatsJson(s);
-  if (!extra.empty()) {
-    base.insert(base.size() - 1, "," + extra);
-  }
-  return base;
-}
-
 // The process-wide metrics registry (counters, gauges, latency histograms
 // with p50/p90/p99/p999) as one JSON object — every bench JSON embeds it as
 // its telemetry block next to engine_stats.

@@ -1,12 +1,13 @@
-// Table 1: absolute SPEC execution times (mean of 5 runs +- stderr) for
-// native, Chrome, and Firefox, plus geomean/median slowdowns.
+// Table 1: absolute SPEC execution times for native, Chrome, and Firefox,
+// plus geomean/median slowdowns. The simulator is deterministic, so each
+// cell is one run's exact simulated seconds (the paper reports the mean of
+// 5 hardware runs +- stderr).
 #include "bench/bench_util.h"
 
 using namespace nsf;
 
 int main() {
-  printf("== Table 1: SPEC execution times (simulated seconds, 5 runs) ==\n\n");
-  BenchHarness& harness = SharedHarness();
+  printf("== Table 1: SPEC execution times (simulated seconds) ==\n\n");
   auto rows = RunSuite(AllSpec(),
                        {CodegenOptions::NativeClang(), CodegenOptions::ChromeV8(),
                         CodegenOptions::FirefoxSM()});
@@ -18,13 +19,8 @@ int main() {
     const RunResult& nat = row.by_profile.at("native-clang");
     const RunResult& ch = row.by_profile.at("chrome-v8");
     const RunResult& fx = row.by_profile.at("firefox-spidermonkey");
-    WorkloadSpec spec = SpecWorkload(row.name);
-    Sample sn = harness.JitteredSeconds(spec, CodegenOptions::NativeClang(), nat.seconds);
-    Sample sc = harness.JitteredSeconds(spec, CodegenOptions::ChromeV8(), ch.seconds);
-    Sample sf = harness.JitteredSeconds(spec, CodegenOptions::FirefoxSM(), fx.seconds);
-    table.push_back({row.name, StrFormat("%.4f +- %.4f", sn.mean, sn.stderr_),
-                     StrFormat("%.4f +- %.4f", sc.mean, sc.stderr_),
-                     StrFormat("%.4f +- %.4f", sf.mean, sf.stderr_)});
+    table.push_back({row.name, StrFormat("%.6f", nat.seconds), StrFormat("%.6f", ch.seconds),
+                     StrFormat("%.6f", fx.seconds)});
     chrome_ratios.push_back(ch.seconds / nat.seconds);
     firefox_ratios.push_back(fx.seconds / nat.seconds);
   }

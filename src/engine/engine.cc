@@ -23,14 +23,6 @@ namespace engine {
 
 namespace {
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-
 // Instrumentation handles, resolved once. Time histograms are nanoseconds
 // (`_ns` convention, src/telemetry/metrics.h).
 telemetry::Histogram& Hist(const char* name) {
@@ -78,11 +70,10 @@ size_t IndexHash(uint64_t module_hash, uint64_t fingerprint) {
 
 // --- CodeCache ---
 
-CodeCache::CodeCache(size_t shard_count, std::string disk_dir, uint64_t disk_max_bytes)
+CodeCache::CodeCache(std::string disk_dir, uint64_t disk_max_bytes)
     : disk_(std::move(disk_dir), disk_max_bytes) {
-  size_t n = RoundUpPow2(shard_count == 0 ? 1 : shard_count);
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; i++) {
+  shards_.reserve(kShards);
+  for (size_t i = 0; i < kShards; i++) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }
@@ -555,7 +546,7 @@ size_t RunHistory::size() const {
 
 Engine::Engine(EngineConfig config)
     : config_(config),
-      cache_(CodeCache::kDefaultShards, config.cache_dir, config.disk_cache_max_bytes) {
+      cache_(config.cache_dir, config.disk_cache_max_bytes) {
   if (!config_.cache_dir.empty()) {
     history_.Load(RunHistoryPath());
   }

@@ -122,8 +122,8 @@ using CompiledModuleRef = std::shared_ptr<const CompiledModule>;
 //   domain, which frees them only after every pinned reader has moved on.
 //
 //   Slow path (misses, in-flight compiles, publishes): the key space is
-//   split across `shard_count` independently-locked shards selected by the
-//   top bits of the module hash, so unrelated compiles never contend on one
+//   split across kShards independently-locked shards selected by the top
+//   bits of the module hash, so unrelated compiles never contend on one
 //   mutex. Each in-flight compile parks a latch in its entry: the first
 //   requester of a key becomes the leader; every concurrent requester of the
 //   same key blocks on the latch and shares the leader's result (exactly one
@@ -150,8 +150,7 @@ struct CompileInfo {
 
 class CodeCache {
  public:
-  explicit CodeCache(size_t shard_count = kDefaultShards, std::string disk_dir = "",
-                     uint64_t disk_max_bytes = 0);
+  explicit CodeCache(std::string disk_dir = "", uint64_t disk_max_bytes = 0);
   ~CodeCache();
 
   // Returns the cached module for (module_hash, fingerprint) or invokes
@@ -183,7 +182,6 @@ class CodeCache {
 
   size_t size() const;
   void Clear();  // memory tier only; the disk tier persists by design
-  size_t shard_count() const { return shards_.size(); }
 
   DiskCodeCache& disk() { return disk_; }
   const DiskCodeCache& disk() const { return disk_; }
@@ -205,7 +203,7 @@ class CodeCache {
     disk_.ResetStats();
   }
 
-  static constexpr size_t kDefaultShards = 16;  // rounded up to a power of two
+  static constexpr size_t kShards = 16;  // a power of two: ShardFor masks the hash
 
  private:
   struct Latch {
@@ -250,9 +248,8 @@ class CodeCache {
   };
 
   Shard& ShardFor(uint64_t module_hash) const {
-    // Prefix (top bits) of the content hash selects the shard; shard count is
-    // a power of two so the mask is exact.
-    return *shards_[(module_hash >> 48) & (shards_.size() - 1)];
+    // Prefix (top bits) of the content hash selects the shard.
+    return *shards_[(module_hash >> 48) & (kShards - 1)];
   }
   // Locks `shard.mu`, accounting blocked time into the contention counters.
   std::unique_lock<std::mutex> LockShard(const Shard& shard) const;

@@ -151,7 +151,6 @@ BatchReport Session::RunBatch(const std::vector<RunRequest>& requests) {
   BatchReport report;
   report.workers = 1;
   report.schedule = SchedulePolicy::kFifo;  // serial: order is the schedule
-  report.stats_before = engine_->Stats();
   auto t0 = std::chrono::steady_clock::now();
   for (size_t i = 0; i < requests.size(); i++) {
     for (int rep = 0; rep < requests[i].reps; rep++) {
@@ -190,9 +189,7 @@ void ExecutorPool::WorkerMain(int worker_index) {
   // ExecuteRequest Reset()s it before every job. Constructing it also
   // registers this thread's epoch slot with the EBR domain, so the thread's
   // first warm code-cache hit is wait-free from the start.
-  if (telemetry::TraceEnabled()) {
-    telemetry::TraceRecorder::Global().SetThreadName(StrFormat("worker-%d", worker_index));
-  }
+  telemetry::TraceRecorder::Global().SetThreadName(StrFormat("worker-%d", worker_index));
   Session session(engine_);
   for (;;) {
     Job job;
@@ -234,7 +231,6 @@ BatchReport ExecutorPool::Run(const std::vector<RunRequest>& requests,
   BatchReport report;
   report.workers = workers();
   report.schedule = schedule;
-  report.stats_before = engine_->Stats();
 
   size_t total_jobs = 0;
   for (const RunRequest& r : requests) {

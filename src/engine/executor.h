@@ -10,8 +10,8 @@
 //                  backend compile.
 //   BatchReport  — per-run outcomes plus aggregates: ok/failed counts,
 //                  total simulated seconds, the schedule's simulated
-//                  makespan (max over workers), and engine-stats snapshots
-//                  bracketing the batch.
+//                  makespan (max over workers), and an engine-stats
+//                  snapshot taken when the batch finished.
 //
 // Isolation contract: a worker Reset()s its Session before every run, so no
 // staged file, fd, or kernel accounting leaks between runs — whether two
@@ -106,8 +106,7 @@ struct BatchReport {
   // Under kLpt: how many requests had observed run history (the rest
   // estimate 0). 0 under kFifo.
   uint64_t lpt_observed_requests = 0;
-  EngineStats stats_before;  // engine snapshot when the batch started
-  EngineStats stats_after;   // engine snapshot when the batch finished
+  EngineStats stats_after;  // engine snapshot when the batch finished
 
   bool all_ok() const { return failed_runs == 0; }
 };

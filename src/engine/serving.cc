@@ -52,22 +52,6 @@ const char* ArrivalKindName(ArrivalKind kind) {
   return kind == ArrivalKind::kPoisson ? "poisson" : "bursty";
 }
 
-const char* ServeOutcomeName(ServeOutcome outcome) {
-  switch (outcome) {
-    case ServeOutcome::kOk:
-      return "ok";
-    case ServeOutcome::kFailed:
-      return "failed";
-    case ServeOutcome::kShedQueue:
-      return "shed_queue";
-    case ServeOutcome::kShedSlo:
-      return "shed_slo";
-    case ServeOutcome::kAbandoned:
-      return "abandoned";
-  }
-  return "unknown";
-}
-
 std::vector<double> GenerateArrivals(const ArrivalConfig& config, double duration_seconds) {
   std::vector<double> out;
   if (config.rate_rps <= 0 || duration_seconds <= 0) {
@@ -281,9 +265,7 @@ ServingLoop::ServingLoop(Engine* engine, ServingConfig config)
 }
 
 void ServingLoop::GeneratorMain(LoopState* loop) {
-  if (telemetry::TraceEnabled()) {
-    telemetry::TraceRecorder::Global().SetThreadName("serving-generator");
-  }
+  telemetry::TraceRecorder::Global().SetThreadName("serving-generator");
   static telemetry::Counter& offered_count = GlobalCount("serving.offered");
   static telemetry::Counter& admitted_count = GlobalCount("serving.admitted");
   static telemetry::Counter& shed_count = GlobalCount("serving.shed");
@@ -365,9 +347,7 @@ void ServingLoop::GeneratorMain(LoopState* loop) {
 }
 
 void ServingLoop::WorkerMain(LoopState* loop, int worker_index) {
-  if (telemetry::TraceEnabled()) {
-    telemetry::TraceRecorder::Global().SetThreadName(StrFormat("serve-%d", worker_index));
-  }
+  telemetry::TraceRecorder::Global().SetThreadName(StrFormat("serve-%d", worker_index));
   static telemetry::Histogram& g_queue_ns = GlobalHist("serving.queue_ns");
   static telemetry::Histogram& g_service_ns = GlobalHist("serving.service_ns");
   static telemetry::Histogram& g_e2e_ns = GlobalHist("serving.e2e_ns");
@@ -498,7 +478,6 @@ ServingReport ServingLoop::Run(const std::vector<TenantConfig>& tenants) {
   ServingReport report;
   report.workers = config_.workers;
   report.duration_seconds = config_.duration_seconds;
-  report.stats_before = engine_->Stats();
   loop.start = std::chrono::steady_clock::now();
 
   std::vector<std::thread> workers;
@@ -529,7 +508,6 @@ ServingReport ServingLoop::Run(const std::vector<TenantConfig>& tenants) {
     w.join();
   }
   report.wall_seconds = SecondsSince(loop.start);
-  report.stats_after = engine_->Stats();
   // Final run-history flush: everything this loop observed is durable even
   // if the process never destroys the Engine cleanly.
   if (engine_->FlushRunHistory()) {

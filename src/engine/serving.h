@@ -170,8 +170,6 @@ enum class ServeOutcome : uint8_t {
   kAbandoned,  // still queued when the drain timeout expired
 };
 
-const char* ServeOutcomeName(ServeOutcome outcome);
-
 // One served request's timeline and attribution (kept for the per-tenant
 // `slowest` list; full per-request retention is optional).
 struct ServedRequest {
@@ -230,8 +228,6 @@ struct ServingReport {
   double goodput_rps = 0;
   uint64_t history_flushes = 0;  // periodic Engine::FlushRunHistory writes
   std::vector<TenantReport> tenants;
-  EngineStats stats_before;
-  EngineStats stats_after;
 
   // Conservation: every offered request is accounted exactly once.
   bool accounted() const {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/support/rng.h"
+#include "src/engine/executor.h"
 #include "src/support/str.h"
 
 namespace nsf {
@@ -36,8 +36,6 @@ BenchHarness::BenchHarness(engine::Engine* engine) : engine_(engine) {}
 namespace {
 
 // Converts an engine-level batch run into the harness's RunResult shape.
-// The single place outcome fields are copied — Measure and MeasureBatch both
-// funnel through it.
 RunResult FromBatchRun(const engine::BatchRunResult& run) {
   RunResult r;
   r.ok = run.ok;
@@ -125,81 +123,6 @@ RunResult BenchHarness::MeasureValidated(const WorkloadSpec& spec,
   return r;
 }
 
-BenchHarness::BatchMeasure BenchHarness::MeasureBatch(
-    const std::vector<engine::RunRequest>& requests, int workers, bool validate) {
-  BatchMeasure out;
-  // References first, serially: the parallel phase then only reads the cache.
-  std::vector<const Outputs*> references(requests.size(), nullptr);
-  if (validate) {
-    for (size_t i = 0; i < requests.size(); i++) {
-      std::string ref_error;
-      references[i] = EnsureReference(requests[i].spec, &ref_error);
-      if (references[i] == nullptr) {
-        RunResult fail;
-        fail.error = ref_error;
-        out.results.assign(1, std::move(fail));
-        return out;
-      }
-    }
-  }
-
-  // Validation needs the output files back regardless of what the caller set
-  // on the requests — otherwise every run would "mismatch" an empty vector.
-  std::vector<engine::RunRequest> to_run = requests;
-  if (validate) {
-    for (engine::RunRequest& r : to_run) {
-      r.collect_outputs = true;
-    }
-  }
-
-  engine::ExecutorPool pool(engine_, workers);
-  out.report = pool.Run(to_run);
-
-  out.all_ok = true;
-  out.results.reserve(out.report.runs.size());
-  for (const engine::BatchRunResult& run : out.report.runs) {
-    RunResult r = FromBatchRun(run);
-    if (r.ok && validate) {
-      r.validated = OutputsMatch(run.outputs, *references[run.request_index]);
-      if (!r.validated) {
-        r.error = requests[run.request_index].spec.name + ": output mismatch vs reference";
-      }
-    }
-    if (!r.ok || (validate && !r.validated)) {
-      out.all_ok = false;
-    }
-    out.results.push_back(std::move(r));
-  }
-  return out;
-}
-
-Sample BenchHarness::JitteredSeconds(const WorkloadSpec& spec, const CodegenOptions& options,
-                                     double seconds, int reps) const {
-  // Deterministic per-(workload, profile) jitter, ±0.5%, modeling the
-  // run-to-run variance the paper reports as standard error.
-  Rng rng(Fnv1a(spec.name + "|" + options.profile_name));
-  std::vector<double> samples;
-  samples.reserve(reps);
-  for (int i = 0; i < reps; i++) {
-    double eps = (rng.NextDouble() - 0.5) * 0.01;
-    samples.push_back(seconds * (1.0 + eps));
-  }
-  double mean = 0;
-  for (double s : samples) {
-    mean += s;
-  }
-  mean /= reps;
-  double var = 0;
-  for (double s : samples) {
-    var += (s - mean) * (s - mean);
-  }
-  var /= std::max(1, reps - 1);
-  Sample out;
-  out.mean = mean;
-  out.stderr_ = std::sqrt(var / reps);
-  return out;
-}
-
 std::string RenderTable(const std::vector<std::vector<std::string>>& rows) {
   if (rows.empty()) {
     return "";
@@ -233,14 +156,6 @@ std::string RenderTable(const std::vector<std::vector<std::string>>& rows) {
       }
       out += "\n";
     }
-  }
-  return out;
-}
-
-std::string RenderCsv(const std::vector<std::vector<std::string>>& rows) {
-  std::string out;
-  for (const auto& row : rows) {
-    out += StrJoin(row, ",") + "\n";
   }
   return out;
 }

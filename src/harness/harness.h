@@ -18,7 +18,6 @@
 
 #include "src/codegen/codegen.h"
 #include "src/engine/engine.h"
-#include "src/engine/executor.h"
 #include "src/engine/workload.h"
 #include "src/machine/machine.h"
 
@@ -37,12 +36,6 @@ struct RunResult {
   CompileStats compile;
   bool cache_hit = false;       // compiled code came from the engine cache
   bool validated = false;       // outputs matched the reference run
-};
-
-// Mean / standard-error pair, as the paper reports (5 runs).
-struct Sample {
-  double mean = 0;
-  double stderr_ = 0;
 };
 
 double GeoMean(const std::vector<double>& xs);
@@ -66,34 +59,9 @@ class BenchHarness {
   // Measure + output validation against the reference (native-profile) run.
   RunResult MeasureValidated(const WorkloadSpec& spec, const CodegenOptions& options);
 
-  // Result of MeasureBatch: the engine-level report plus one RunResult per
-  // run in report.runs order (request-index major, then rep). Exception: when
-  // a reference run fails during validation, the batch never executes —
-  // all_ok is false, report is empty (workers=0, no runs), and results holds
-  // a single RunResult whose error names the failed reference.
-  struct BatchMeasure {
-    engine::BatchReport report;
-    std::vector<RunResult> results;
-    bool all_ok = false;  // every run ok (and validated, when validating)
-  };
-
-  // Executes `requests` across `workers` parallel Sessions (ExecutorPool over
-  // this harness's engine) and converts every run into a RunResult. With
-  // `validate`, reference (native-profile) outputs are computed serially
-  // first — once per distinct workload name, cached like MeasureValidated —
-  // and every parallel run's outputs are cmp'd against them.
-  BatchMeasure MeasureBatch(const std::vector<engine::RunRequest>& requests, int workers,
-                            bool validate = true);
-
-  // Seconds with jitter samples for table rendering: a documented, seeded
-  // ±0.5% jitter model produces the reported mean ± stderr (the simulator
-  // itself is deterministic).
-  Sample JitteredSeconds(const WorkloadSpec& spec, const CodegenOptions& options, double seconds,
-                         int reps = 5) const;
-
   // The reference (native) outputs are cached per workload name. Must not be
-  // called while a Measure*/MeasureBatch on another thread is in flight: the
-  // batch path holds pointers into the cache for its duration.
+  // called while a MeasureValidated on another thread is in flight: it holds
+  // a pointer into the cache for its duration.
   void ClearReferenceCache() {
     std::lock_guard<std::mutex> lock(reference_mu_);
     reference_outputs_.clear();
@@ -119,9 +87,6 @@ class BenchHarness {
 
 // Renders an aligned ASCII table; row 0 is the header.
 std::string RenderTable(const std::vector<std::vector<std::string>>& rows);
-
-// Renders a CSV block.
-std::string RenderCsv(const std::vector<std::vector<std::string>>& rows);
 
 // Renders a horizontal ASCII bar chart: one row per (label, value).
 std::string RenderBars(const std::vector<std::pair<std::string, double>>& data, double unit_value,

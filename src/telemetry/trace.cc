@@ -111,12 +111,20 @@ void TraceRecorder::StartFromEnv() {
 
 void TraceRecorder::Stop() { g_trace_enabled.store(false, std::memory_order_relaxed); }
 
+namespace {
+// The calling thread's lane name. SetThreadName stores it even while tracing
+// is off, so a thread that named itself before Start still gets a named lane
+// when it first records.
+thread_local std::string t_thread_name;
+}  // namespace
+
 TraceRecorder::ThreadBuffer* TraceRecorder::BufferForThisThread() {
   // Registered once per thread; the shared_ptr in buffers_ keeps the buffer
   // alive for flushing even after the thread exits.
   thread_local std::shared_ptr<ThreadBuffer> buffer;
   if (buffer == nullptr) {
     buffer = std::make_shared<ThreadBuffer>();
+    buffer->name = t_thread_name;
     std::lock_guard<std::mutex> lock(mu_);
     buffer->tid = next_tid_++;
     buffer->ring.reserve(std::min(ring_capacity_, size_t{1024}));
@@ -126,6 +134,10 @@ TraceRecorder::ThreadBuffer* TraceRecorder::BufferForThisThread() {
 }
 
 void TraceRecorder::SetThreadName(const std::string& name) {
+  t_thread_name = name;
+  if (!TraceEnabled()) {
+    return;  // BufferForThisThread copies it in when the thread first records
+  }
   ThreadBuffer* buf = BufferForThisThread();
   std::lock_guard<std::mutex> lock(buf->mu);
   buf->name = name;

@@ -3,13 +3,14 @@
 // RAII `Span`s record (thread, start, duration, key/value args) into
 // per-thread ring buffers; the recorder flushes them on demand as Chrome
 // `trace_event`-format JSON, so a run opens directly in chrome://tracing or
-// https://ui.perfetto.dev. Export
+// https://ui.perfetto.dev. Run
 //
-//   NSF_TRACE=/tmp/run.json ./engine_parallel
+//   benchmark/run.sh --smoke --traced   # one trace per workload in benchmark/build/traces/
 //
-// and every instrumented phase — compiles, disk-cache loads, tier-up
-// warm-ups, predecode, per-request runs on their worker lanes — appears on a
-// timeline, one track per thread (flush happens automatically at exit).
+// or export NSF_TRACE=/tmp/run.json before running any binary, and every
+// instrumented phase — compiles, disk-cache loads, tier-up warm-ups,
+// predecode, per-request runs on their worker lanes — appears on a timeline,
+// one track per thread (with NSF_TRACE, flush happens automatically at exit).
 //
 // Cost contract: tracing COMPILED IN BUT DISABLED must be near-free. A
 // disabled Span construction is one relaxed atomic load and a branch; no
@@ -82,7 +83,9 @@ class TraceRecorder {
   // (live threads keep their lanes). Used by tests.
   void Clear();
 
-  // Names the calling thread's lane in the trace (e.g. "worker-3").
+  // Names the calling thread's lane in the trace (e.g. "worker-3"). May be
+  // called while tracing is off: the name is kept for the thread and applied
+  // once it records, without allocating a buffer before then.
   void SetThreadName(const std::string& name);
 
   void Record(TraceEvent event);

@@ -8,7 +8,7 @@
 // "Processes" here are mostly separate DiskCodeCache / Engine instances
 // sharing a directory — from the filesystem's point of view (the only state
 // the lease and eviction protocols use), that is exactly what two processes
-// look like.
+// look like. One test forks two real processes for the warm start.
 #include "src/engine/disk_cache.h"
 
 #include <sys/wait.h>
@@ -19,13 +19,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <regex>
+#include <set>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/builder/builder.h"
 #include "src/engine/engine.h"
+#include "src/engine/executor.h"
+#include "src/polybench/polybench.h"
 #include "src/wasm/artifact_codec.h"
 #include "src/wasm/encoder.h"
 
@@ -162,6 +167,85 @@ TEST(DiskLease, RacingColdEnginesCollapseOntoOneCompiler) {
   uint64_t hash = HashModule(m);
   uint64_t fp = CodegenOptions::ChromeV8().Fingerprint();
   EXPECT_FALSE(fs::exists(a.cache().disk().LockPathForKey(hash, fp)));
+}
+
+// --- a second process over the same cache dir -----------------------------
+
+// One process's whole life over `dir`, meant to run in a forked child: tier up
+// two PolyBench kernels under both JIT profiles, run each base and tiered key
+// through a 4-worker pool, then destroy the engine. Returns the exit status:
+// 0 when every check held. Every key is produced once, by a backend compile or
+// a disk load; with `warm`, all of them must come from disk, and the
+// persisted profiles must spare every interpreter warm-up.
+int RunOneProcess(const std::string& dir, bool warm) {
+  engine::Engine eng(DiskConfig(dir));
+  std::vector<engine::RunRequest> requests;
+  std::set<std::pair<std::string, uint64_t>> keys;
+  for (const char* kernel : {"cholesky", "trisolv"}) {
+    WorkloadSpec spec = PolybenchSpec(kernel);
+    for (const CodegenOptions& base : {CodegenOptions::ChromeV8(), CodegenOptions::FirefoxSM()}) {
+      std::string error;
+      CodegenOptions tiered = eng.TierUp(spec, base, &error);
+      if (!error.empty()) {
+        fprintf(stderr, "TierUp(%s): %s\n", kernel, error.c_str());
+        return 1;
+      }
+      for (const CodegenOptions& options : {base, tiered}) {
+        engine::RunRequest request;
+        request.spec = spec;
+        request.options = options;
+        request.reps = 2;
+        request.collect_outputs = false;
+        requests.push_back(std::move(request));
+        keys.insert({spec.name, options.Fingerprint()});
+      }
+    }
+  }
+  if (!engine::ExecutorPool(&eng, 4).Run(requests).all_ok()) {
+    fprintf(stderr, "a run failed\n");
+    return 2;
+  }
+  const engine::EngineStats s = eng.Stats();
+  fprintf(stderr, "%s process: %zu keys, %llu compiles, %llu disk hits, %llu warm-ups\n",
+          warm ? "second" : "first", keys.size(), static_cast<unsigned long long>(s.compiles),
+          static_cast<unsigned long long>(s.disk_hits),
+          static_cast<unsigned long long>(s.tier_warmups));
+  if (s.compiles + s.disk_hits != keys.size()) {
+    return 3;
+  }
+  if (warm && (s.compiles != 0 || s.disk_hits != keys.size() || s.tier_warmups != 0)) {
+    return 4;
+  }
+  return 0;
+}
+
+// The compile-once-run-anywhere guarantee across real processes: the second
+// of two processes over one cache dir compiles nothing, and clean exits
+// leave only artifacts, profiles and the run history behind.
+TEST(DiskLease, SecondProcessServesEveryKeyFromDisk) {
+  TempCacheDir dir("two-processes");
+  // The children fork one after the other, before this process starts any
+  // thread; each builds its own engine and worker pool.
+  for (bool warm : {false, true}) {
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::_exit(RunOneProcess(dir.path, warm));
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << (warm ? "second" : "first") << " process crashed";
+    ASSERT_EQ(WEXITSTATUS(status), 0) << (warm ? "second" : "first") << " process failed";
+  }
+  const std::regex kept(
+      R"(^(nsfa-[0-9a-f]{16}-[0-9a-f]{16}|nsfp-[0-9a-f]{16})\.bin$|^run_history$)");
+  int artifacts = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(std::regex_match(name, kept)) << "stray file in the cache dir: " << name;
+    artifacts += name.rfind("nsfa-", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_GT(artifacts, 0);
 }
 
 TEST(DiskLease, UncontendedColdCompileStillCountsOneMiss) {

@@ -237,5 +237,92 @@ TEST(EbrCodeCache, PureWarmHitPathTakesZeroLockWaits) {
   EXPECT_EQ(s.lock_waits, 0u) << "a warm hit blocked on a shard mutex";
 }
 
+// CodeCache::Lookup is the whole warm-hit read path, so no reader may ever
+// take a shard lock: not at any reader count, and not while a writer Clear()s
+// and republishes every key. The keys span all 16 shards, all sharing one
+// compiled module. Readers call Lookup directly: an Engine::Compile landing
+// between a Clear and its republish would take the slow path and may
+// legitimately wait for the writer's lock.
+TEST(EbrCodeCache, LookupTakesNoLockAtAnyReaderCountWithOrWithoutChurn) {
+  engine::EngineConfig config;
+  config.cache_dir = "";
+  engine::Engine eng(config);
+  const engine::CompiledModuleRef module =
+      eng.Compile(SumSquaresModule(5), CodegenOptions::ChromeV8());
+  ASSERT_TRUE(module != nullptr && module->ok);
+
+  // 1,024 golden-ratio multiples spread over every shard.
+  constexpr uint32_t kKeys = 1024;
+  constexpr uint64_t kFingerprint = 0x5eed5eed5eed5eedULL;
+  constexpr uint64_t kLookupsPerReader = 2000;
+  auto key_hash = [](uint32_t k) { return 0x9E3779B97F4A7C15ULL * (k + 1); };
+  auto publish_all = [&](engine::CodeCache& cache) {
+    for (uint32_t k = 0; k < kKeys; k++) {
+      engine::CompileInfo info;
+      cache.GetOrCompile(key_hash(k), kFingerprint, [&] { return module; }, &info);
+    }
+  };
+
+  for (bool churn : {false, true}) {
+    for (int readers : {1, 2, 4, 8, 16}) {
+      SCOPED_TRACE(testing::Message() << (churn ? "churn" : "steady") << ", " << readers
+                                      << " readers");
+      engine::CodeCache cache;
+      publish_all(cache);
+      cache.ResetTelemetry();
+
+      std::atomic<bool> go{false};
+      std::atomic<int> readers_done{0};
+      std::atomic<uint64_t> clears{0};
+      std::vector<uint64_t> lookups(readers, 0);
+      std::vector<uint64_t> hits(readers, 0);
+      std::vector<std::thread> threads;
+      threads.reserve(readers + 1);
+      for (int t = 0; t < readers; t++) {
+        threads.emplace_back([&, t] {
+          while (!go.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+          // An odd stride walks the keys in scrambled order. A churn reader
+          // keeps reading until the writer has cleared twice, so its reads
+          // overlap the churn.
+          uint32_t cursor = static_cast<uint32_t>(t) * 2654435761u;
+          while (lookups[t] < kLookupsPerReader ||
+                 (churn && clears.load(std::memory_order_relaxed) < 2)) {
+            cursor += 2654435761u;
+            hits[t] += cache.Lookup(key_hash(cursor % kKeys), kFingerprint) != nullptr ? 1 : 0;
+            lookups[t]++;
+          }
+          readers_done.fetch_add(1);
+        });
+      }
+      if (churn) {
+        threads.emplace_back([&] {
+          while (!go.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+          while (readers_done.load() < readers) {
+            cache.Clear();
+            clears.fetch_add(1, std::memory_order_relaxed);
+            publish_all(cache);
+          }
+        });
+      }
+      go.store(true, std::memory_order_release);
+      for (std::thread& t : threads) {
+        t.join();
+      }
+
+      for (int t = 0; t < readers; t++) {
+        EXPECT_GE(lookups[t], kLookupsPerReader) << "reader " << t;
+        if (!churn) {
+          EXPECT_EQ(hits[t], lookups[t]) << "reader " << t << " missed a warm key";
+        }
+      }
+      EXPECT_EQ(cache.lock_waits(), 0u) << "a Lookup took a shard lock";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nsf

@@ -103,6 +103,22 @@ Module HeapProbeModule() {
   return mb.Build();
 }
 
+// main(): `iters` additions in a loop, so a test sets each job's cost.
+WorkloadSpec LoopSpec(const std::string& name, int iters) {
+  WorkloadSpec spec;
+  spec.name = name;
+  spec.build = [iters] {
+    ModuleBuilder mb("w");
+    auto& f = mb.AddFunction("main", {}, {ValType::kI32});
+    uint32_t acc = f.AddLocal(ValType::kI32);
+    uint32_t i = f.AddLocal(ValType::kI32);
+    f.ForI32(i, 0, iters, 1, [&] { f.LocalGet(acc).I32Const(1).I32Add().LocalSet(acc); });
+    f.LocalGet(acc);
+    return mb.Build();
+  };
+  return spec;
+}
+
 WorkloadSpec SpecOf(const std::string& name, Module (*build)()) {
   WorkloadSpec spec;
   spec.name = name;
@@ -410,22 +426,8 @@ TEST(ExecutorPool, LptSchedulesByObservedSecondsFifoKeepsOrder) {
   engine::Engine eng;
   // Two workloads with very different work: lpt_big runs 500x the loop
   // iterations of lpt_small.
-  auto spec_of = [](const std::string& name, int reps) {
-    WorkloadSpec spec;
-    spec.name = name;
-    spec.build = [reps] {
-      ModuleBuilder mb("w");
-      auto& f = mb.AddFunction("main", {}, {ValType::kI32});
-      uint32_t acc = f.AddLocal(ValType::kI32);
-      uint32_t i = f.AddLocal(ValType::kI32);
-      f.ForI32(i, 0, reps, 1, [&] { f.LocalGet(acc).I32Const(1).I32Add().LocalSet(acc); });
-      f.LocalGet(acc);
-      return mb.Build();
-    };
-    return spec;
-  };
-  WorkloadSpec small = spec_of("lpt_small", 10);
-  WorkloadSpec big = spec_of("lpt_big", 5000);
+  WorkloadSpec small = LoopSpec("lpt_small", 10);
+  WorkloadSpec big = LoopSpec("lpt_big", 5000);
   // Seed the run history as earlier batches would have.
   eng.history().RecordRun("lpt_small", 1e-6);
   eng.history().RecordRun("lpt_big", 5e-4);
@@ -458,6 +460,26 @@ TEST(ExecutorPool, LptSchedulesByObservedSecondsFifoKeepsOrder) {
   EXPECT_EQ(fifo.schedule, engine::SchedulePolicy::kFifo);
   // Identical work either way: scheduling must not change WHAT ran.
   EXPECT_NEAR(fifo.sim_seconds_total, lpt.sim_seconds_total, 1e-12);
+}
+
+// Equal jobs spread over the workers: 16 runs of one key finish in well under
+// the 1-worker simulated makespan on 4 workers. A pool that ran its jobs on
+// one worker would read 1x.
+TEST(ExecutorPool, FourWorkersCutTheMakespanOfEqualJobs) {
+  engine::Engine eng;
+  engine::RunRequest request;
+  request.spec = LoopSpec("makespan", 50000);
+  request.options = CodegenOptions::ChromeV8();
+  request.reps = 16;
+  request.collect_outputs = false;
+
+  engine::BatchReport one = engine::ExecutorPool(&eng, 1).Run({request});
+  engine::BatchReport four = engine::ExecutorPool(&eng, 4).Run({request});
+  ASSERT_TRUE(one.all_ok() && four.all_ok());
+  ASSERT_GT(four.sim_makespan_seconds, 0.0);
+  EXPECT_GT(one.sim_makespan_seconds / four.sim_makespan_seconds, 1.5)
+      << "1 worker " << one.sim_makespan_seconds << " s, 4 workers "
+      << four.sim_makespan_seconds << " s";
 }
 
 TEST(ExecutorPool, WorkerIsolationNoFileLeaksAcrossRuns) {

@@ -114,11 +114,16 @@ std::string ProgramListing(const MProgram& program) {
 }
 
 TEST(CodeCache, SameModuleSameOptionsIsAHit) {
+  const telemetry::Histogram& compile_ns =
+      *telemetry::MetricsRegistry::Global().GetHistogram("engine.compile_ns");
   engine::Engine eng;
   Module m = SumSquaresModule();
+  const uint64_t compiles_before = compile_ns.count();
   engine::CompiledModuleRef a = eng.Compile(m, CodegenOptions::ChromeV8());
   ASSERT_TRUE(a->ok) << a->error;
+  EXPECT_EQ(compile_ns.count(), compiles_before + 1);  // the compile's latency
   engine::CompiledModuleRef b = eng.Compile(m, CodegenOptions::ChromeV8());
+  EXPECT_EQ(compile_ns.count(), compiles_before + 1);  // a hit records none
   // The hit returns the very same compiled module — trivially byte-identical.
   EXPECT_EQ(a.get(), b.get());
   engine::EngineStats stats = eng.Stats();

@@ -18,28 +18,11 @@ TEST(Stats, GeoMeanAndMedian) {
   EXPECT_DOUBLE_EQ(GeoMean({}), 0.0);
 }
 
-TEST(Stats, JitterIsDeterministicAndSmall) {
-  BenchHarness h;
-  WorkloadSpec spec = PolybenchSpec("gemm");
-  Sample a = h.JitteredSeconds(spec, CodegenOptions::ChromeV8(), 10.0);
-  Sample b = h.JitteredSeconds(spec, CodegenOptions::ChromeV8(), 10.0);
-  EXPECT_DOUBLE_EQ(a.mean, b.mean);
-  EXPECT_NEAR(a.mean, 10.0, 0.1);
-  EXPECT_LT(a.stderr_, 0.1);
-  // Different profile -> different jitter stream.
-  Sample c = h.JitteredSeconds(spec, CodegenOptions::FirefoxSM(), 10.0);
-  EXPECT_NE(a.mean, c.mean);
-}
-
 TEST(Render, TableAlignsColumns) {
   std::string t = RenderTable({{"name", "value"}, {"x", "12345"}});
   EXPECT_NE(t.find("name"), std::string::npos);
   EXPECT_NE(t.find("-----"), std::string::npos);
   EXPECT_NE(t.find("12345"), std::string::npos);
-}
-
-TEST(Render, CsvJoinsWithCommas) {
-  EXPECT_EQ(RenderCsv({{"a", "b"}, {"1", "2"}}), "a,b\n1,2\n");
 }
 
 TEST(Render, BarsScaleToWidth) {

@@ -298,6 +298,51 @@ TEST(ServingLoop, SmokeAccountsEveryArrivalAtEightWorkers) {
   EXPECT_GE(eng.Stats().tier_swaps, 1u);
 }
 
+// Below the knee nothing sheds. The first run pays the cold compiles; the
+// identical rerun on the same loop pays no compile, compile join or disk
+// load, and completes every request it was offered.
+TEST(ServingLoop, WarmRerunBelowTheKneePaysNoColdEvents) {
+  engine::Engine eng;
+  engine::ServingConfig config;
+  config.workers = 4;
+  config.duration_seconds = 0.25;
+  engine::ServingLoop loop(&eng, config);
+
+  std::vector<engine::TenantConfig> tenants(2);
+  tenants[0].name = "steady";
+  tenants[0].mix.push_back(LoopRequest("rerun_small", 1000));
+  tenants[0].mix.push_back(LoopRequest("rerun_medium", 5000));
+  tenants[0].arrivals.kind = engine::ArrivalKind::kPoisson;
+  tenants[0].arrivals.rate_rps = 40;
+  tenants[0].arrivals.seed = 17;
+  tenants[1].name = "spiky";
+  tenants[1].weight = 2.0;
+  tenants[1].mix.push_back(LoopRequest("rerun_spiky", 2000));
+  tenants[1].arrivals.kind = engine::ArrivalKind::kBursty;
+  tenants[1].arrivals.rate_rps = 20;
+  tenants[1].arrivals.seed = 19;
+
+  engine::ServingReport cold = loop.Run(tenants);
+  engine::ServingReport warm = loop.Run(tenants);
+  auto cold_events = [](const engine::ServingReport& r) {
+    uint64_t n = 0;
+    for (const engine::TenantReport& t : r.tenants) {
+      n += t.cold_compiles + t.compile_joins + t.disk_loads;
+    }
+    return n;
+  };
+  for (const engine::ServingReport* r : {&cold, &warm}) {
+    EXPECT_TRUE(r->accounted());
+    EXPECT_GT(r->offered, 0u);
+    EXPECT_EQ(r->shed, 0u);
+    EXPECT_EQ(r->failed, 0u);
+  }
+  EXPECT_GT(cold_events(cold), 0u);
+  EXPECT_EQ(cold_events(warm), 0u);
+  EXPECT_GE(static_cast<double>(warm.completed), 0.95 * static_cast<double>(warm.offered));
+  EXPECT_EQ(warm.completed, warm.offered);
+}
+
 TEST(ServingLoop, QueueDepthBoundShedsDeterministically) {
   engine::Engine eng;
   engine::ServingConfig config;

@@ -16,6 +16,7 @@
 
 #include "src/builder/builder.h"
 #include "src/engine/engine.h"
+#include "src/engine/executor.h"
 #include "src/machine/decode.h"
 
 namespace nsf {
@@ -352,6 +353,33 @@ TEST(DispatchStats, SnapshotMatchesBuildFlag) {
   EXPECT_GT(total, 0u);
   ResetDispatchStats();
   EXPECT_TRUE(DispatchStatsSnapshot().empty());
+}
+
+// A pool worker names its lane when its thread starts. A recorder started
+// later (nsfbench --traced starts it after its batch pool exists) must still
+// show that name on the lane.
+TEST(Trace, WorkerStartedBeforeTracingKeepsItsLaneName) {
+  telemetry::TraceRecorder& rec = telemetry::TraceRecorder::Global();
+  rec.Stop();
+  rec.Clear();
+  engine::Engine eng(HermeticConfig());
+  engine::RunRequest request;
+  request.spec.name = "lane_name";
+  request.spec.build = [] {
+    ModuleBuilder mb("lane_name");
+    mb.AddFunction("main", {}, {ValType::kI32}).I32Const(0);
+    return mb.Build();
+  };
+  request.collect_outputs = false;
+  engine::ExecutorPool pool(&eng, 1);
+  // Tracing is off, and the worker has certainly started once a run returns.
+  ASSERT_TRUE(pool.Run({request}).all_ok());
+  rec.Start("");
+  ASSERT_TRUE(pool.Run({request}).all_ok());
+  rec.Stop();
+  std::string json = rec.DumpJson();
+  EXPECT_NE(json.find("\"args\":{\"name\":\"worker-0\"}"), std::string::npos) << json;
+  rec.Clear();
 }
 
 }  // namespace
