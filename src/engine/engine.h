@@ -328,8 +328,9 @@ uint64_t DefaultDiskCacheMaxBytes();
 struct EngineConfig {
   bool cache_enabled = true;   // table2-style compile-time benches disable it
   // Disk tier: empty disables persistence. Defaults honor the NSF_CACHE_DIR /
-  // NSF_CACHE_MAX_BYTES environment so every bench binary persists compiles
-  // when the caller exports a cache directory.
+  // NSF_CACHE_MAX_BYTES environment, so an engine built with the defaults
+  // persists compiles when the caller exports a cache directory. The bench
+  // programs clear cache_dir: their output must not depend on the caller.
   std::string cache_dir = DefaultCacheDir();
   uint64_t disk_cache_max_bytes = DefaultDiskCacheMaxBytes();
   // --- Continuous tiering ---

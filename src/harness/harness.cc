@@ -43,12 +43,10 @@ RunResult FromBatchRun(const engine::BatchRunResult& run) {
   r.cache_hit = run.cache_hit;
   r.compile = run.compile;
   if (run.ok) {
-    r.exit_code = run.outcome.exit_code;
     r.counters = run.outcome.counters;
     r.seconds = run.outcome.seconds;
     r.browsix_seconds = run.outcome.browsix_seconds;
     r.syscalls = run.outcome.syscalls;
-    r.stdout_text = run.outcome.stdout_text;
     r.outputs = run.outputs;
   }
   return r;

@@ -30,8 +30,6 @@ struct RunResult {
   double seconds = 0;           // simulated wall clock (cycles / clock)
   double browsix_seconds = 0;   // time charged to the Browsix kernel
   uint64_t syscalls = 0;
-  uint64_t exit_code = 0;
-  std::string stdout_text;
   std::vector<std::pair<std::string, std::vector<uint8_t>>> outputs;
   CompileStats compile;
   bool cache_hit = false;       // compiled code came from the engine cache
@@ -58,14 +56,6 @@ class BenchHarness {
 
   // Measure + output validation against the reference (native-profile) run.
   RunResult MeasureValidated(const WorkloadSpec& spec, const CodegenOptions& options);
-
-  // The reference (native) outputs are cached per workload name. Must not be
-  // called while a MeasureValidated on another thread is in flight: it holds
-  // a pointer into the cache for its duration.
-  void ClearReferenceCache() {
-    std::lock_guard<std::mutex> lock(reference_mu_);
-    reference_outputs_.clear();
-  }
 
   engine::Engine& engine() { return *engine_; }
 
