@@ -1,72 +1,8 @@
 #include "src/codegen/ir.h"
 
-#include <functional>
-
 #include "src/support/str.h"
 
 namespace nsf {
-
-void ForEachUse(const VOp& op, const std::function<void(uint32_t)>& fn) {
-  auto visit = [&fn](uint32_t v) {
-    if (v != kNoVReg) {
-      fn(v);
-    }
-  };
-  switch (op.k) {
-    case VOp::K::kParam:
-    case VOp::K::kConst:
-    case VOp::K::kConstF:
-    case VOp::K::kGlobalGet:
-    case VOp::K::kLabel:
-    case VOp::K::kBr:
-    case VOp::K::kTrap:
-    case VOp::K::kMemSize:
-      break;
-    case VOp::K::kMove:
-    case VOp::K::kUn:
-    case VOp::K::kGlobalSet:
-    case VOp::K::kBrIf:
-    case VOp::K::kMemGrow:
-    case VOp::K::kRet:
-      visit(op.a);
-      break;
-    case VOp::K::kBin:
-    case VOp::K::kCmp:
-    case VOp::K::kBrCmp:
-      visit(op.a);
-      visit(op.b);
-      break;
-    case VOp::K::kSelect:
-      visit(op.a);
-      visit(op.b);
-      visit(op.c);
-      break;
-    case VOp::K::kLoad:
-      visit(op.a);
-      if (op.fuse_scale != 0) {
-        visit(op.b);
-      }
-      break;
-    case VOp::K::kStore:
-      visit(op.a);
-      visit(op.b);
-      if (op.fuse_scale != 0) {
-        visit(op.c);
-      }
-      break;
-    case VOp::K::kCall:
-      for (uint32_t v : op.args) {
-        visit(v);
-      }
-      break;
-    case VOp::K::kCallInd:
-      visit(op.a);
-      for (uint32_t v : op.args) {
-        visit(v);
-      }
-      break;
-  }
-}
 
 uint32_t DefOf(const VOp& op) {
   switch (op.k) {

@@ -6,7 +6,6 @@
 #define SRC_CODEGEN_IR_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -101,8 +100,71 @@ struct VFunc {
   uint32_t NewLabel() { return next_label++; }
 };
 
-// Returns the vregs read by `op` (up to 3 plus args).
-void ForEachUse(const VOp& op, const std::function<void(uint32_t)>& fn);
+// Calls `fn(v)` for each vreg `op` reads (up to 3 plus args). A template so
+// the per-use call inlines: every pass runs it on every op.
+template <typename Fn>
+void ForEachUse(const VOp& op, Fn&& fn) {
+  auto visit = [&fn](uint32_t v) {
+    if (v != kNoVReg) {
+      fn(v);
+    }
+  };
+  switch (op.k) {
+    case VOp::K::kParam:
+    case VOp::K::kConst:
+    case VOp::K::kConstF:
+    case VOp::K::kGlobalGet:
+    case VOp::K::kLabel:
+    case VOp::K::kBr:
+    case VOp::K::kTrap:
+    case VOp::K::kMemSize:
+      break;
+    case VOp::K::kMove:
+    case VOp::K::kUn:
+    case VOp::K::kGlobalSet:
+    case VOp::K::kBrIf:
+    case VOp::K::kMemGrow:
+    case VOp::K::kRet:
+      visit(op.a);
+      break;
+    case VOp::K::kBin:
+    case VOp::K::kCmp:
+    case VOp::K::kBrCmp:
+      visit(op.a);
+      visit(op.b);
+      break;
+    case VOp::K::kSelect:
+      visit(op.a);
+      visit(op.b);
+      visit(op.c);
+      break;
+    case VOp::K::kLoad:
+      visit(op.a);
+      if (op.fuse_scale != 0) {
+        visit(op.b);
+      }
+      break;
+    case VOp::K::kStore:
+      visit(op.a);
+      visit(op.b);
+      if (op.fuse_scale != 0) {
+        visit(op.c);
+      }
+      break;
+    case VOp::K::kCall:
+      for (uint32_t v : op.args) {
+        visit(v);
+      }
+      break;
+    case VOp::K::kCallInd:
+      visit(op.a);
+      for (uint32_t v : op.args) {
+        visit(v);
+      }
+      break;
+  }
+}
+
 // Returns the vreg defined by `op`, or kNoVReg.
 uint32_t DefOf(const VOp& op);
 // True if the op has no side effects and its result being dead makes it

@@ -7,6 +7,7 @@
 //     these in their optimizing tiers).
 #include "src/codegen/opt.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace nsf {
@@ -39,19 +40,13 @@ void DeadCodeElim(VFunc* vf) {
   // Iterate to fixpoint: removing a pure op may kill its operands' last uses.
   bool changed = true;
   while (changed) {
-    changed = false;
     std::vector<uint32_t> uses = CountUses(*vf);
-    std::vector<VOp> kept;
-    kept.reserve(vf->ops.size());
-    for (VOp& op : vf->ops) {
+    auto dead = std::remove_if(vf->ops.begin(), vf->ops.end(), [&uses](const VOp& op) {
       uint32_t d = DefOf(op);
-      if (d != kNoVReg && uses[d] == 0 && IsPure(op)) {
-        changed = true;
-        continue;
-      }
-      kept.push_back(std::move(op));
-    }
-    vf->ops = std::move(kept);
+      return d != kNoVReg && uses[d] == 0 && IsPure(op);
+    });
+    changed = dead != vf->ops.end();
+    vf->ops.erase(dead, vf->ops.end());
   }
 }
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace nsf {
 
@@ -78,70 +75,124 @@ Liveness ComputeLiveness(const VFunc& vf) {
   const uint32_t words = static_cast<uint32_t>((vf.vregs.size() + 63) / 64);
   Liveness lv;
   lv.words = words;
-  lv.live_out.assign(n, std::vector<uint64_t>(words, 0));
-
-  // Label -> op index.
-  std::unordered_map<uint32_t, uint32_t> label_at;
-  for (size_t i = 0; i < n; i++) {
-    if (vf.ops[i].k == VOp::K::kLabel) {
-      label_at[vf.ops[i].label] = static_cast<uint32_t>(i);
-    }
+  lv.bits.assign(n * words, 0);
+  if (lv.bits.empty()) {
+    return lv;
   }
 
-  auto succs = [&](size_t i, uint32_t out[2]) -> int {
+  // Basic blocks: block b spans ops [start[b], start[b + 1]).
+  constexpr uint32_t kNone = UINT32_MAX;
+  auto ends_block = [](const VOp& op) {
+    return op.k == VOp::K::kBr || op.k == VOp::K::kBrIf || op.k == VOp::K::kBrCmp ||
+           op.k == VOp::K::kRet || op.k == VOp::K::kTrap;
+  };
+  std::vector<uint32_t> start;
+  std::vector<uint32_t> label_block(vf.next_label, kNone);
+  for (size_t i = 0; i < n; i++) {
     const VOp& op = vf.ops[i];
+    if (i == 0 || op.k == VOp::K::kLabel || ends_block(vf.ops[i - 1])) {
+      start.push_back(static_cast<uint32_t>(i));
+    }
+    if (op.k == VOp::K::kLabel) {
+      label_block[op.label] = static_cast<uint32_t>(start.size() - 1);
+    }
+  }
+  const size_t nb = start.size();
+  start.push_back(static_cast<uint32_t>(n));
+
+  // The successors of a block's last op: a jump's target; a conditional
+  // branch's target and the next op; nothing after a return or trap; the next
+  // op after anything else.
+  auto succs = [&](size_t b, uint32_t out[2]) -> int {
+    const VOp& op = vf.ops[start[b + 1] - 1];
+    const bool has_next = b + 1 < nb;
     int count = 0;
     switch (op.k) {
       case VOp::K::kBr:
-        out[count++] = label_at.at(op.label);
+        out[count++] = label_block[op.label];
         break;
       case VOp::K::kBrIf:
       case VOp::K::kBrCmp:
-        out[count++] = label_at.at(op.label);
-        if (i + 1 < n) {
-          out[count++] = static_cast<uint32_t>(i + 1);
+        out[count++] = label_block[op.label];
+        if (has_next) {
+          out[count++] = static_cast<uint32_t>(b + 1);
         }
         break;
       case VOp::K::kRet:
       case VOp::K::kTrap:
         break;
       default:
-        if (i + 1 < n) {
-          out[count++] = static_cast<uint32_t>(i + 1);
+        if (has_next) {
+          out[count++] = static_cast<uint32_t>(b + 1);
         }
         break;
     }
     return count;
   };
+  auto set = [](uint64_t* row, uint32_t v) { row[v / 64] |= uint64_t{1} << (v % 64); };
 
-  // Fixpoint backward dataflow at op granularity.
-  bool changed = true;
+  // gen: vregs read before any def in the block; kill: vregs the block defines.
+  std::vector<uint64_t> gen(nb * words, 0);
+  std::vector<uint64_t> kill(nb * words, 0);
+  for (size_t b = 0; b < nb; b++) {
+    uint64_t* g = gen.data() + b * words;
+    uint64_t* k = kill.data() + b * words;
+    for (uint32_t i = start[b]; i < start[b + 1]; i++) {
+      const VOp& op = vf.ops[i];
+      ForEachUse(op, [g, k, &set](uint32_t v) {
+        if (((k[v / 64] >> (v % 64)) & 1) == 0) {
+          set(g, v);
+        }
+      });
+      uint32_t d = DefOf(op);
+      if (d != kNoVReg) {
+        set(k, d);
+      }
+    }
+  }
+
+  // Least fixpoint of live_in(b) = gen(b) | (live_out(b) & ~kill(b)), where
+  // live_out(b) is the union of its successors' live_in.
+  std::vector<uint64_t> in(nb * words, 0);
   std::vector<uint64_t> live(words);
+  auto block_out = [&](size_t b) {
+    std::fill(live.begin(), live.end(), 0);
+    uint32_t sc[2];
+    int ns = succs(b, sc);
+    for (int s = 0; s < ns; s++) {
+      const uint64_t* si = in.data() + size_t{sc[s]} * words;
+      for (uint32_t w = 0; w < words; w++) {
+        live[w] |= si[w];
+      }
+    }
+  };
+  bool changed = true;
   while (changed) {
     changed = false;
-    for (size_t ii = n; ii > 0; ii--) {
-      size_t i = ii - 1;
-      // live_out = union of live_in(succ); live_in(s) = (live_out(s) - def) | use.
-      std::fill(live.begin(), live.end(), 0);
-      uint32_t sc[2];
-      int ns = succs(i, sc);
-      for (int s = 0; s < ns; s++) {
-        const VOp& sop = vf.ops[sc[s]];
-        // live_in of successor.
-        std::vector<uint64_t> in = lv.live_out[sc[s]];
-        uint32_t d = DefOf(sop);
-        if (d != kNoVReg) {
-          in[d / 64] &= ~(uint64_t{1} << (d % 64));
-        }
-        ForEachUse(sop, [&in](uint32_t v) { in[v / 64] |= uint64_t{1} << (v % 64); });
-        for (uint32_t w = 0; w < words; w++) {
-          live[w] |= in[w];
+    for (size_t bb = nb; bb > 0; bb--) {
+      size_t b = bb - 1;
+      block_out(b);
+      for (uint32_t w = 0; w < words; w++) {
+        uint64_t x = gen[b * words + w] | (live[w] & ~kill[b * words + w]);
+        if (x != in[b * words + w]) {
+          in[b * words + w] = x;
+          changed = true;
         }
       }
-      if (live != lv.live_out[i]) {
-        lv.live_out[i] = live;
-        changed = true;
+    }
+  }
+
+  // One backward walk per block from its live-out gives every op's live-out.
+  for (size_t b = 0; b < nb; b++) {
+    block_out(b);
+    for (uint32_t i = start[b + 1]; i > start[b]; i--) {
+      const VOp& op = vf.ops[i - 1];
+      std::copy(live.begin(), live.end(), lv.bits.data() + size_t{i - 1} * words);
+      uint32_t d = DefOf(op);
+      if (d != kNoVReg) {
+        live[d / 64] &= ~(uint64_t{1} << (d % 64));
       }
+      ForEachUse(op, [&live, &set](uint32_t v) { set(live.data(), v); });
     }
   }
   return lv;
@@ -153,7 +204,7 @@ struct Interval {
   uint32_t vreg = 0;
   uint32_t start = 0;
   uint32_t end = 0;
-  uint32_t weight = 0;  // spill-cost proxy: use count (loop-weighted for GC)
+  uint32_t weight = 0;  // spill-cost proxy: def + use count
   bool is_fp = false;
 };
 
@@ -181,12 +232,13 @@ std::vector<Interval> BuildIntervals(const VFunc& vf, const Liveness& lv) {
       touch(v, i);
       weight[v]++;
     });
+    const uint64_t* out = lv.out(i);
     for (uint32_t w = 0; w < lv.words; w++) {
-      uint64_t bits = lv.live_out[i][w];
+      uint64_t bits = out[w];
       while (bits != 0) {
         uint32_t bit = static_cast<uint32_t>(std::countr_zero(bits));
         bits &= bits - 1;
-        touch(w * 64 + bit, i + 1 <= vf.ops.size() ? i + 1 : i);
+        touch(w * 64 + bit, i + 1);
       }
     }
   }
@@ -267,6 +319,44 @@ void LinearScanClass(std::vector<Interval> intervals, uint32_t num_regs,
 }
 
 // --- Graph coloring (per class) ---
+
+// A square bit matrix with a set-bit count per row: the interference graph's
+// adjacency sets over one class's nodes.
+class BitMatrix {
+ public:
+  explicit BitMatrix(size_t n) : words_((n + 63) / 64), bits_(n * words_, 0), degree_(n, 0) {}
+
+  bool Has(uint32_t r, uint32_t c) const {
+    return ((bits_[r * words_ + c / 64] >> (c % 64)) & 1) != 0;
+  }
+  void Insert(uint32_t r, uint32_t c) {
+    uint64_t& w = bits_[r * words_ + c / 64];
+    const uint64_t m = uint64_t{1} << (c % 64);
+    if ((w & m) == 0) {
+      w |= m;
+      degree_[r]++;
+    }
+  }
+  uint32_t Degree(uint32_t r) const { return degree_[r]; }
+  // Calls fn(c) for each c in row r, ascending.
+  template <typename Fn>
+  void ForEach(uint32_t r, Fn&& fn) const {
+    const uint64_t* row = bits_.data() + r * words_;
+    for (size_t w = 0; w < words_; w++) {
+      uint64_t bits = row[w];
+      while (bits != 0) {
+        fn(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
+        bits &= bits - 1;
+      }
+    }
+  }
+
+ private:
+  size_t words_;
+  std::vector<uint64_t> bits_;
+  std::vector<uint32_t> degree_;
+};
+
 void GraphColorClass(const VFunc& vf, const Liveness& lv, const std::vector<Interval>& intervals,
                      bool fp_class, uint32_t num_regs, std::vector<int32_t>* loc,
                      uint32_t* next_slot, std::vector<bool>* used_regs, uint32_t* spills) {
@@ -277,20 +367,12 @@ void GraphColorClass(const VFunc& vf, const Liveness& lv, const std::vector<Inte
     node_of[iv.vreg] = static_cast<int32_t>(nodes.size());
     nodes.push_back(iv.vreg);
   }
-  const size_t nn = nodes.size();
-  std::vector<std::unordered_set<uint32_t>> adj(nn);
+  const uint32_t nn = static_cast<uint32_t>(nodes.size());
+  BitMatrix adj(nn);
   std::vector<uint32_t> weight(nn, 0);
-  for (size_t i = 0; i < nodes.size(); i++) {
+  for (uint32_t i = 0; i < nn; i++) {
     weight[i] = intervals[i].weight;
   }
-
-  auto interfere = [&](uint32_t a, uint32_t b) {
-    if (a == b) {
-      return;
-    }
-    adj[a].insert(b);
-    adj[b].insert(a);
-  };
 
   // Def interferes with live-out (minus move sources — allows coalescing).
   for (size_t i = 0; i < vf.ops.size(); i++) {
@@ -301,28 +383,35 @@ void GraphColorClass(const VFunc& vf, const Liveness& lv, const std::vector<Inte
     }
     uint32_t dn = static_cast<uint32_t>(node_of[d]);
     uint32_t move_src = op.k == VOp::K::kMove ? op.a : kNoVReg;
+    const uint64_t* out = lv.out(i);
     for (uint32_t w = 0; w < lv.words; w++) {
-      uint64_t bits = lv.live_out[i][w];
+      uint64_t bits = out[w];
       while (bits != 0) {
         uint32_t bit = static_cast<uint32_t>(std::countr_zero(bits));
         bits &= bits - 1;
         uint32_t v = w * 64 + bit;
         if (v != d && v != move_src && vf.vregs[v].is_fp == fp_class && node_of[v] >= 0) {
-          interfere(dn, static_cast<uint32_t>(node_of[v]));
+          uint32_t vn = static_cast<uint32_t>(node_of[v]);
+          adj.Insert(dn, vn);
+          adj.Insert(vn, dn);
         }
       }
     }
   }
 
   // Conservative move coalescing (Briggs): merge move-related nodes when the
-  // merged node has < num_regs high-degree neighbors.
+  // merged node has < num_regs high-degree neighbors. A merged node's row
+  // keeps its members' old neighbors, which may since have merged too; the
+  // degree tests count those stale entries.
   std::vector<int32_t> merged_into(nn, -1);
-  std::function<uint32_t(uint32_t)> find = [&](uint32_t x) {
+  auto find = [&merged_into](uint32_t x) {
     while (merged_into[x] >= 0) {
       x = static_cast<uint32_t>(merged_into[x]);
     }
     return x;
   };
+  std::vector<uint32_t> seen(nn, 0);  // seen[r] == stamp: r counted in this test
+  uint32_t stamp = 0;
   for (const VOp& op : vf.ops) {
     if (op.k != VOp::K::kMove || op.a == kNoVReg) {
       continue;
@@ -332,74 +421,76 @@ void GraphColorClass(const VFunc& vf, const Liveness& lv, const std::vector<Inte
     }
     uint32_t x = find(static_cast<uint32_t>(node_of[op.d]));
     uint32_t y = find(static_cast<uint32_t>(node_of[op.a]));
-    if (x == y || adj[x].count(y) != 0) {
+    if (x == y || adj.Has(x, y)) {
       continue;
     }
-    // Briggs test on the union.
-    std::unordered_set<uint32_t> combined;
-    for (uint32_t t : adj[x]) {
-      combined.insert(find(t));
-    }
-    for (uint32_t t : adj[y]) {
-      combined.insert(find(t));
-    }
-    combined.erase(x);
-    combined.erase(y);
+    // Briggs test on the union: count the distinct high-degree
+    // representatives among both nodes' neighbors.
+    stamp++;
     uint32_t high = 0;
-    for (uint32_t t : combined) {
-      if (adj[t].size() >= num_regs) {
-        high++;
+    auto count_high = [&](uint32_t t) {
+      uint32_t r = find(t);
+      if (r != x && r != y && seen[r] != stamp) {
+        seen[r] = stamp;
+        high += adj.Degree(r) >= num_regs ? 1 : 0;
       }
-    }
+    };
+    adj.ForEach(x, count_high);
+    adj.ForEach(y, count_high);
     if (high >= num_regs) {
       continue;
     }
     // Merge y into x.
     merged_into[y] = static_cast<int32_t>(x);
-    for (uint32_t t : adj[y]) {
+    adj.ForEach(y, [&](uint32_t t) {
       uint32_t tt = find(t);
       if (tt != x) {
-        adj[x].insert(tt);
-        adj[tt].insert(x);
+        adj.Insert(x, tt);
+        adj.Insert(tt, x);
       }
-    }
+    });
     weight[x] += weight[y];
   }
 
   // Rebuild adjacency over representatives.
-  std::vector<std::unordered_set<uint32_t>> radj(nn);
+  std::vector<uint32_t> rep(nn);
   for (uint32_t i = 0; i < nn; i++) {
-    uint32_t ri = find(i);
-    for (uint32_t t : adj[i]) {
-      uint32_t rt = find(t);
-      if (ri != rt) {
-        radj[ri].insert(rt);
-        radj[rt].insert(ri);
+    rep[i] = find(i);
+  }
+  BitMatrix radj(nn);
+  for (uint32_t i = 0; i < nn; i++) {
+    adj.ForEach(i, [&](uint32_t t) {
+      if (rep[i] != rep[t]) {
+        radj.Insert(rep[i], rep[t]);
+        radj.Insert(rep[t], rep[i]);
       }
-    }
+    });
   }
 
-  // Chaitin-Briggs simplify/spill with optimistic coloring.
+  // Chaitin-Briggs simplify/spill with optimistic coloring. degree[r] counts
+  // r's neighbors still in the graph.
   std::vector<uint32_t> reps;
+  std::vector<uint32_t> degree(nn, 0);
   for (uint32_t i = 0; i < nn; i++) {
-    if (find(i) == i) {
+    if (rep[i] == i) {
       reps.push_back(i);
     }
+    degree[i] = radj.Degree(i);
   }
-  std::vector<std::unordered_set<uint32_t>> work = radj;
   std::vector<bool> removed(nn, false);
   std::vector<uint32_t> stack;
   size_t remaining = reps.size();
+  auto remove_node = [&](uint32_t r) {
+    stack.push_back(r);
+    removed[r] = true;
+    remaining--;
+    radj.ForEach(r, [&degree](uint32_t t) { degree[t]--; });
+  };
   while (remaining > 0) {
     bool simplified = false;
     for (uint32_t r : reps) {
-      if (!removed[r] && work[r].size() < num_regs) {
-        stack.push_back(r);
-        removed[r] = true;
-        remaining--;
-        for (uint32_t t : radj[r]) {
-          work[t].erase(r);
-        }
+      if (!removed[r] && degree[r] < num_regs) {
+        remove_node(r);
         simplified = true;
       }
     }
@@ -413,31 +504,27 @@ void GraphColorClass(const VFunc& vf, const Liveness& lv, const std::vector<Inte
       if (removed[r]) {
         continue;
       }
-      double score = static_cast<double>(weight[r]) / (1.0 + work[r].size());
+      double score = static_cast<double>(weight[r]) / (1.0 + degree[r]);
       if (best == UINT32_MAX || score < best_score) {
         best = r;
         best_score = score;
       }
     }
-    stack.push_back(best);
-    removed[best] = true;
-    remaining--;
-    for (uint32_t t : radj[best]) {
-      work[t].erase(best);
-    }
+    remove_node(best);
   }
 
   // Optimistic assignment.
   std::vector<int32_t> color(nn, -1);
+  std::vector<bool> taken(num_regs);
   while (!stack.empty()) {
     uint32_t r = stack.back();
     stack.pop_back();
-    std::vector<bool> taken(num_regs, false);
-    for (uint32_t t : radj[r]) {
+    std::fill(taken.begin(), taken.end(), false);
+    radj.ForEach(r, [&](uint32_t t) {
       if (color[t] >= 0) {
         taken[color[t]] = true;
       }
-    }
+    });
     int32_t c = -1;
     for (uint32_t k = 0; k < num_regs; k++) {
       if (!taken[k]) {
@@ -448,21 +535,21 @@ void GraphColorClass(const VFunc& vf, const Liveness& lv, const std::vector<Inte
     color[r] = c;  // -1 -> spilled
   }
 
-  // Write assignments back through the union-find.
-  std::unordered_map<uint32_t, int32_t> rep_slot;
+  // Write assignments back through the union-find; a spilled
+  // representative's members share one slot.
+  std::vector<int32_t> rep_slot(nn, -1);  // -1: no slot yet
   for (uint32_t i = 0; i < nn; i++) {
-    uint32_t r = find(i);
+    uint32_t r = rep[i];
     int32_t c = color[r];
     if (c >= 0) {
       (*loc)[nodes[i]] = c;
       (*used_regs)[c] = true;
     } else {
-      auto it = rep_slot.find(r);
-      if (it == rep_slot.end()) {
-        it = rep_slot.emplace(r, -2 - static_cast<int32_t>((*next_slot)++)).first;
+      if (rep_slot[r] == -1) {
+        rep_slot[r] = -2 - static_cast<int32_t>((*next_slot)++);
         (*spills)++;
       }
-      (*loc)[nodes[i]] = it->second;
+      (*loc)[nodes[i]] = rep_slot[r];
     }
   }
 }

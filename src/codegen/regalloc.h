@@ -9,6 +9,7 @@
 #ifndef SRC_CODEGEN_REGALLOC_H_
 #define SRC_CODEGEN_REGALLOC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,13 +36,20 @@ struct Allocation {
   Xmm XmmOf(uint32_t v) const { return static_cast<Xmm>(loc[v]); }
 };
 
-// Per-op liveness (exposed for tests).
+// Per-op liveness: both allocators' input, exposed for codegen_test, which
+// checks it against an op-level reference.
 struct Liveness {
-  // live_out[i]: bitset over vregs, packed 64 per word.
-  std::vector<std::vector<uint64_t>> live_out;
-  uint32_t words = 0;
+  uint32_t words = 0;  // words per bitset
+  // n x words: op i's live-out bitset over vregs, packed 64 per word.
+  std::vector<uint64_t> bits;
+
+  const uint64_t* out(size_t i) const { return bits.data() + i * words; }
 };
 
+// Backward dataflow over basic blocks (a label starts one; a branch, return
+// or trap ends one), iterated to its least fixpoint and then expanded to
+// every op. Every branch target must be a label in `vf.ops` below
+// `vf.next_label`.
 Liveness ComputeLiveness(const VFunc& vf);
 
 // Allocates registers for `vf` using pools derived from `options`.

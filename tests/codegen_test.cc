@@ -7,12 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <unordered_map>
 
 #include "src/builder/builder.h"
+#include "src/codegen/opt.h"
+#include "src/codegen/regalloc.h"
 #include "src/interp/interp.h"
 #include "src/machine/machine.h"
+#include "src/polybench/polybench.h"
+#include "src/spec/spec.h"
 #include "src/wasm/validator.h"
 
 namespace nsf {
@@ -456,6 +462,336 @@ TEST_F(DiffTest, JitProfilesGenerateMoreCode) {
   CompileResult chrome = CompileModule(m, CodegenOptions::ChromeV8());
   EXPECT_LT(native.stats.code_bytes, chrome.stats.code_bytes);
   EXPECT_LT(native.stats.minstrs, chrome.stats.minstrs);
+}
+
+// The 38 programs of the paper's suites (23 PolyBench kernels, then the 15
+// SPEC stand-ins), built once per test binary.
+const std::vector<std::pair<std::string, Module>>& SuiteModules() {
+  static const std::vector<std::pair<std::string, Module>> modules = [] {
+    std::vector<std::pair<std::string, Module>> out;
+    for (const std::string& name : PolybenchKernelNames()) {
+      out.emplace_back(name, PolybenchSpec(name).build());
+    }
+    for (const std::string& name : SpecWorkloadNames()) {
+      out.emplace_back(name, SpecWorkload(name).build());
+    }
+    return out;
+  }();
+  return modules;
+}
+
+// 64-bit FNV-1a, fed one little-endian 8-byte word per value.
+class Fnv1a {
+ public:
+  template <typename T>
+  void Add(T v) {
+    uint64_t x = static_cast<uint64_t>(v);
+    for (int i = 0; i < 8; i++) {
+      h_ ^= (x >> (8 * i)) & 0xff;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void Add(const MemRef& m) {
+    Add(m.base.has_value());
+    Add(m.base.value_or(Gpr::kRax));
+    Add(m.index.has_value());
+    Add(m.index.value_or(Gpr::kRax));
+    Add(m.scale);
+    Add(m.disp);
+  }
+  void Add(const Operand& o) {
+    Add(o.kind);
+    Add(o.gpr);
+    Add(o.xmm);
+    Add(o.imm);
+    Add(o.mem);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+// Every emitted instruction of every suite program under each paper profile,
+// hashed field by field (the lister-only `comment` aside). An allocator,
+// liveness or pass change that alters one register, spill slot or branch
+// target changes the hash; the constants are the pipeline's output as
+// committed, so a mismatch means the generated code moved.
+TEST(Codegen, PaperProfilesEmitPinnedCode) {
+  const std::vector<std::pair<CodegenOptions, uint64_t>> pins = {
+      {CodegenOptions::NativeClang(), 0xbf11b2013da553a4ull},
+      {CodegenOptions::ChromeV8(), 0x60a6106bf61e5d23ull},
+      {CodegenOptions::FirefoxSM(), 0xf8e3df09f268b5fdull},
+  };
+  for (const auto& [opts, want] : pins) {
+    Fnv1a h;
+    for (const auto& [name, module] : SuiteModules()) {
+      CompileResult cr = CompileModule(module, opts);
+      ASSERT_TRUE(cr.ok) << name << " under " << opts.profile_name << ": " << cr.error;
+      for (const MFunction& f : cr.program.funcs) {
+        h.Add(f.code.size());
+        for (const MInstr& in : f.code) {
+          h.Add(in.op);
+          h.Add(in.dst);
+          h.Add(in.src);
+          h.Add(in.src2);
+          h.Add(in.width);
+          h.Add(in.sign_extend);
+          h.Add(in.cond);
+          h.Add(in.label);
+          h.Add(in.func);
+        }
+        h.Add(f.frame_slots);
+      }
+      h.Add(cr.program.layout_order.size());
+      for (uint32_t i : cr.program.layout_order) {
+        h.Add(i);
+      }
+    }
+    EXPECT_EQ(h.value(), want) << opts.profile_name << ": 0x" << std::hex << h.value();
+  }
+}
+
+// The op-granularity liveness fixpoint ComputeLiveness used before it moved
+// to basic blocks, kept as the reference the block version must reproduce:
+// live_out(i) is the union over i's successors s of
+// (live_out(s) - def(s)) | use(s), iterated from empty sets to a fixpoint.
+std::vector<std::vector<uint64_t>> ReferenceLiveness(const VFunc& vf) {
+  const size_t n = vf.ops.size();
+  const uint32_t words = static_cast<uint32_t>((vf.vregs.size() + 63) / 64);
+  std::vector<std::vector<uint64_t>> live_out(n, std::vector<uint64_t>(words, 0));
+
+  std::unordered_map<uint32_t, uint32_t> label_at;
+  for (size_t i = 0; i < n; i++) {
+    if (vf.ops[i].k == VOp::K::kLabel) {
+      label_at[vf.ops[i].label] = static_cast<uint32_t>(i);
+    }
+  }
+  auto succs = [&](size_t i, uint32_t out[2]) -> int {
+    const VOp& op = vf.ops[i];
+    int count = 0;
+    switch (op.k) {
+      case VOp::K::kBr:
+        out[count++] = label_at.at(op.label);
+        break;
+      case VOp::K::kBrIf:
+      case VOp::K::kBrCmp:
+        out[count++] = label_at.at(op.label);
+        if (i + 1 < n) {
+          out[count++] = static_cast<uint32_t>(i + 1);
+        }
+        break;
+      case VOp::K::kRet:
+      case VOp::K::kTrap:
+        break;
+      default:
+        if (i + 1 < n) {
+          out[count++] = static_cast<uint32_t>(i + 1);
+        }
+        break;
+    }
+    return count;
+  };
+
+  bool changed = true;
+  std::vector<uint64_t> live(words);
+  while (changed) {
+    changed = false;
+    for (size_t ii = n; ii > 0; ii--) {
+      size_t i = ii - 1;
+      std::fill(live.begin(), live.end(), 0);
+      uint32_t sc[2];
+      int ns = succs(i, sc);
+      for (int s = 0; s < ns; s++) {
+        const VOp& sop = vf.ops[sc[s]];
+        std::vector<uint64_t> in = live_out[sc[s]];
+        uint32_t d = DefOf(sop);
+        if (d != kNoVReg) {
+          in[d / 64] &= ~(uint64_t{1} << (d % 64));
+        }
+        ForEachUse(sop, [&in](uint32_t v) { in[v / 64] |= uint64_t{1} << (v % 64); });
+        for (uint32_t w = 0; w < words; w++) {
+          live[w] |= in[w];
+        }
+      }
+      if (live != live_out[i]) {
+        live_out[i] = live;
+        changed = true;
+      }
+    }
+  }
+  return live_out;
+}
+
+// Checks every op's live-out against the reference.
+void ExpectLivenessMatchesReference(const VFunc& vf) {
+  Liveness lv = ComputeLiveness(vf);
+  std::vector<std::vector<uint64_t>> want = ReferenceLiveness(vf);
+  const uint32_t words = static_cast<uint32_t>((vf.vregs.size() + 63) / 64);
+  ASSERT_EQ(lv.words, words);
+  ASSERT_EQ(lv.bits.size(), vf.ops.size() * words);
+  for (size_t i = 0; i < vf.ops.size(); i++) {
+    ASSERT_TRUE(std::equal(want[i].begin(), want[i].end(), lv.out(i)))
+        << "live-out differs at op " << i << " (" << VOpToString(vf.ops[i]) << ") of "
+        << vf.ops.size();
+  }
+}
+
+// CompileModule's pass sequence for `o` with no execution profile attached.
+void RunProfilePasses(VFunc* vf, const CodegenOptions& o) {
+  if (o.regalloc == RegAllocKind::kGraphColor) {
+    CopyPropagate(vf);
+  }
+  if (o.rotate_loops) {
+    RotateLoops(vf);
+  }
+  if (o.fuse_addressing) {
+    FuseAddressing(vf);
+    FuseAluMem(vf);
+  }
+  for (uint32_t p = 0; p < o.extra_opt_passes; p++) {
+    CopyPropagate(vf);
+    if (o.fuse_addressing) {
+      FuseAddressing(vf);
+      FuseAluMem(vf);
+    }
+  }
+}
+
+// Every defined function of the 38 suite programs, lowered under each of the
+// seven profiles, both straight after lowering and after the profile's
+// passes.
+TEST(Codegen, BlockLivenessMatchesOpLevelOnSuites) {
+  const std::vector<CodegenOptions> profiles = {
+      CodegenOptions::NativeClang(),   CodegenOptions::ChromeV8(),
+      CodegenOptions::FirefoxSM(),     CodegenOptions::ChromeAsmJs(),
+      CodegenOptions::FirefoxAsmJs(),  CodegenOptions::ChromeV8_2017(),
+      CodegenOptions::ChromeV8_2018()};
+  size_t checked = 0;
+  for (const auto& [name, module] : SuiteModules()) {
+    for (const CodegenOptions& opts : profiles) {
+      for (uint32_t d = 0; d < module.functions.size(); d++) {
+        SCOPED_TRACE(name + " function " + std::to_string(d) + " under " + opts.profile_name);
+        VFunc vf = LowerFunction(module, d, opts);
+        ExpectLivenessMatchesReference(vf);
+        RunProfilePasses(&vf, opts);
+        ExpectLivenessMatchesReference(vf);
+        checked++;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+// Hand-built control-flow shapes the lowering never or rarely emits.
+class LivenessShapes {
+ public:
+  explicit LivenessShapes(uint32_t num_vregs) {
+    for (uint32_t i = 0; i < num_vregs; i++) {
+      vf_.NewVReg(false, 4);
+    }
+  }
+  uint32_t NewLabel() { return vf_.NewLabel(); }
+  LivenessShapes& Const(uint32_t d) { return Push(VOp::K::kConst, d); }
+  LivenessShapes& Add(uint32_t d, uint32_t a, uint32_t b) {
+    Push(VOp::K::kBin, d, a, b);
+    vf_.ops.back().wop = Opcode::kI32Add;
+    return *this;
+  }
+  LivenessShapes& Label(uint32_t l) { return Push(VOp::K::kLabel, kNoVReg, kNoVReg, kNoVReg, l); }
+  LivenessShapes& Br(uint32_t l) { return Push(VOp::K::kBr, kNoVReg, kNoVReg, kNoVReg, l); }
+  LivenessShapes& BrIf(uint32_t a, uint32_t l) {
+    return Push(VOp::K::kBrIf, kNoVReg, a, kNoVReg, l);
+  }
+  LivenessShapes& BrCmp(uint32_t a, uint32_t b, uint32_t l) {
+    return Push(VOp::K::kBrCmp, kNoVReg, a, b, l);
+  }
+  LivenessShapes& Ret(uint32_t a) { return Push(VOp::K::kRet, kNoVReg, a); }
+  LivenessShapes& Trap() { return Push(VOp::K::kTrap); }
+  const VFunc& vf() const { return vf_; }
+
+ private:
+  LivenessShapes& Push(VOp::K k, uint32_t d = kNoVReg, uint32_t a = kNoVReg,
+                       uint32_t b = kNoVReg, uint32_t label = 0) {
+    VOp op;
+    op.k = k;
+    op.d = d;
+    op.a = a;
+    op.b = b;
+    op.label = label;
+    vf_.ops.push_back(op);
+    return *this;
+  }
+  VFunc vf_;
+};
+
+TEST(Codegen, BlockLivenessMatchesOpLevelOnEdgeShapes) {
+  {
+    SCOPED_TRACE("no ops");
+    ExpectLivenessMatchesReference(LivenessShapes(0).vf());
+    ExpectLivenessMatchesReference(LivenessShapes(3).vf());
+  }
+  {
+    SCOPED_TRACE("unreachable tail after a return, with no label");
+    LivenessShapes f(4);
+    f.Const(0).Const(1).Ret(0).Add(2, 1, 0).Add(3, 2, 1).Ret(3);
+    ExpectLivenessMatchesReference(f.vf());
+  }
+  {
+    SCOPED_TRACE("back edge to the function's first label");
+    LivenessShapes f(4);
+    uint32_t head = f.NewLabel();
+    uint32_t exit = f.NewLabel();
+    f.Label(head).Add(1, 0, 2).BrCmp(1, 3, exit).Const(2).Br(head).Label(exit).Ret(1);
+    ExpectLivenessMatchesReference(f.vf());
+  }
+  {
+    SCOPED_TRACE("conditional branch as the last op");
+    LivenessShapes f(3);
+    uint32_t head = f.NewLabel();
+    f.Const(0).Label(head).Add(1, 1, 0).BrIf(1, head);
+    ExpectLivenessMatchesReference(f.vf());
+    LivenessShapes g(3);
+    uint32_t top = g.NewLabel();
+    g.Label(top).Add(2, 0, 1).BrCmp(2, 0, top);
+    ExpectLivenessMatchesReference(g.vf());
+  }
+  {
+    SCOPED_TRACE("two adjacent labels, branched to from both sides");
+    LivenessShapes f(4);
+    uint32_t a = f.NewLabel();
+    uint32_t b = f.NewLabel();
+    uint32_t out = f.NewLabel();
+    f.Const(0).BrIf(0, b).Const(1).Label(a).Label(b).Add(2, 1, 0).BrCmp(2, 3, a);
+    f.BrIf(2, out).Trap().Label(out).Ret(1);
+    ExpectLivenessMatchesReference(f.vf());
+  }
+  {
+    SCOPED_TRACE("an op that reads and defines one vreg, inside a loop");
+    LivenessShapes f(4);
+    uint32_t head = f.NewLabel();
+    uint32_t exit = f.NewLabel();
+    f.Const(0).Const(1).Label(head).Const(3).Add(0, 0, 1).Add(2, 0, 3).BrCmp(0, 2, exit);
+    f.Br(head).Label(exit).Ret(0);
+    ExpectLivenessMatchesReference(f.vf());
+  }
+  {
+    SCOPED_TRACE("more than 64 vregs, live across a loop");
+    constexpr uint32_t kVregs = 200;
+    LivenessShapes f(kVregs + 1);
+    for (uint32_t v = 0; v < kVregs; v++) {
+      f.Const(v);
+    }
+    uint32_t head = f.NewLabel();
+    uint32_t exit = f.NewLabel();
+    f.Label(head);
+    for (uint32_t v = 1; v < kVregs; v += 7) {
+      f.Add(0, 0, v);
+    }
+    f.BrCmp(0, kVregs - 1, exit).Add(kVregs, 63, 64).Add(1, kVregs, 129).Br(head);
+    f.Label(exit).Ret(0);
+    ExpectLivenessMatchesReference(f.vf());
+  }
 }
 
 }  // namespace
