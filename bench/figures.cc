@@ -406,7 +406,6 @@ void AblationCodegenCauses(Results& results) {
   // +reserved regs/heap reg -> +checks (= chrome profile).
   std::vector<CodegenOptions> ladder;
   CodegenOptions base = CodegenOptions::NativeClang();
-  base.extra_opt_passes = 0;
   base.profile_name = "native";
   ladder.push_back(base);
 

@@ -41,7 +41,6 @@ uint64_t CodegenOptions::Fingerprint() const {
   put8(stack_check);
   put8(indirect_check);
   put8(asmjs_coercions);
-  put32(extra_opt_passes);
   // PGO flags only matter when a profile is attached, and the profile only
   // matters when a flag consumes it — hash the *effective* configuration.
   bool pgo_active =
@@ -67,8 +66,6 @@ CodegenOptions CodegenOptions::NativeClang() {
   o.rotate_loops = true;
   o.stack_check = false;
   o.indirect_check = false;
-  // Offline compilers afford many more passes (Table 2's compile-time gap).
-  o.extra_opt_passes = 24;
   return o;
 }
 
@@ -322,19 +319,6 @@ CompileResult CompileModule(const Module& module, const CodegenOptions& options)
       FuseAddressing(&vf);
       FuseAluMem(&vf);
       if (!verify_after("fuse_addressing")) {
-        return result;
-      }
-    }
-    // Extra passes model offline-compiler optimization budgets; the passes
-    // are idempotent, so they cost time without changing the output.
-    for (uint32_t p = 0; p < options.extra_opt_passes; p++) {
-      CopyPropagate(&vf);
-      if (options.fuse_addressing) {
-        FuseAddressing(&vf);
-        FuseAluMem(&vf);
-      }
-      ComputeLiveness(vf);
-      if (!verify_after(StrFormat("extra_opt_pass_%u", p).c_str())) {
         return result;
       }
     }

@@ -57,9 +57,6 @@ struct CodegenOptions {
   // asm.js-style coercions: an extra move after every arithmetic result
   // (models JavaScript |0 / +x coercion traffic surviving codegen).
   bool asmjs_coercions = false;
-  // Extra optimization passes, modeling offline-compiler compile time
-  // (Table 2); each pass re-runs fusion + DCE.
-  uint32_t extra_opt_passes = 0;
 
   // --- Profile-guided optimization (src/profile/) ---
   // Execution profile from a warm-up run (not owned; must outlive the

@@ -649,13 +649,6 @@ void RunProfilePasses(VFunc* vf, const CodegenOptions& o) {
     FuseAddressing(vf);
     FuseAluMem(vf);
   }
-  for (uint32_t p = 0; p < o.extra_opt_passes; p++) {
-    CopyPropagate(vf);
-    if (o.fuse_addressing) {
-      FuseAddressing(vf);
-      FuseAluMem(vf);
-    }
-  }
 }
 
 // Every defined function of the 38 suite programs, lowered under each of the

@@ -169,9 +169,27 @@ TEST(CodeCache, FingerprintIsContentAddressedNotNameAddressed) {
   CodegenOptions a = CodegenOptions::ChromeV8();
   CodegenOptions b = CodegenOptions::ChromeV8();
   b.profile_name = "chrome-renamed";  // cosmetic only
+  b.verify_ir = !b.verify_ir;         // checks generated code, never changes it
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
-  b.stack_check = !b.stack_check;
-  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+  // Every field Fingerprint() serializes, changed alone from ChromeV8's value.
+  const std::vector<std::pair<const char*, void (*)(CodegenOptions*)>> flips = {
+      {"regalloc", [](CodegenOptions* o) { o->regalloc = RegAllocKind::kGraphColor; }},
+      {"fuse_addressing", [](CodegenOptions* o) { o->fuse_addressing = true; }},
+      {"heap_base_in_disp", [](CodegenOptions* o) { o->heap_base_in_disp = true; }},
+      {"heap_base_reg", [](CodegenOptions* o) { o->heap_base_reg = Gpr::kR15; }},
+      {"reserved_gprs", [](CodegenOptions* o) { o->reserved_gprs.push_back(Gpr::kRsi); }},
+      {"reserved_xmms", [](CodegenOptions* o) { o->reserved_xmms.push_back(Xmm::kXmm12); }},
+      {"rotate_loops", [](CodegenOptions* o) { o->rotate_loops = true; }},
+      {"loop_entry_jump", [](CodegenOptions* o) { o->loop_entry_jump = false; }},
+      {"stack_check", [](CodegenOptions* o) { o->stack_check = false; }},
+      {"indirect_check", [](CodegenOptions* o) { o->indirect_check = false; }},
+      {"asmjs_coercions", [](CodegenOptions* o) { o->asmjs_coercions = true; }},
+  };
+  for (const auto& [field, flip] : flips) {
+    CodegenOptions changed = a;
+    flip(&changed);
+    EXPECT_NE(changed.Fingerprint(), a.Fingerprint()) << field;
+  }
 
   // Two engines' worth of proof at the cache level: a rename still hits.
   engine::Engine eng;

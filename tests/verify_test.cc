@@ -361,7 +361,10 @@ TEST(VerifyPipeline, PolybenchCleanUnderRandomizedPassPipelines) {
     for (int trial = 0; trial < 4; trial++) {
       CodegenOptions options = factories[rng() % factories.size()]();
       options.verify_ir = true;
-      options.extra_opt_passes = rng() % 3;
+      if (rng() % 2 == 0) {
+        options.regalloc = options.regalloc == RegAllocKind::kGraphColor ? RegAllocKind::kLinearScan
+                                                                          : RegAllocKind::kGraphColor;
+      }
       if (rng() % 2 == 0) {
         options.rotate_loops = !options.rotate_loops;
       }
@@ -370,7 +373,7 @@ TEST(VerifyPipeline, PolybenchCleanUnderRandomizedPassPipelines) {
       }
       CompileResult cr = CompileModule(m, options);
       ASSERT_TRUE(cr.ok) << name << " [" << options.profile_name
-                         << " extra=" << options.extra_opt_passes
+                         << " graph-color=" << (options.regalloc == RegAllocKind::kGraphColor)
                          << " rotate=" << options.rotate_loops
                          << " fuse=" << options.fuse_addressing << "]: " << cr.error;
       // And the decoded form round-trips.
