@@ -35,18 +35,17 @@ struct Block {
   int nsucc = 0;
 };
 
-// Splits [0, n) into blocks. `is_leader[i]` marks instruction i as a block
+// Splits [0, n) into *blocks. `is_leader[i]` marks instruction i as a block
 // start (entry, label/branch targets, fall-past-terminator points).
-std::vector<Block> BuildBlocks(const std::vector<bool>& is_leader, size_t n) {
-  std::vector<Block> blocks;
+void BuildBlocks(const std::vector<bool>& is_leader, size_t n, std::vector<Block>* blocks) {
+  blocks->clear();
   for (size_t i = 0; i < n; i++) {
     if (i == 0 || is_leader[i]) {
-      blocks.push_back(Block{i, i + 1, {-1, -1}, 0});
+      blocks->push_back(Block{i, i + 1, {-1, -1}, 0});
     } else {
-      blocks.back().end = i + 1;
+      blocks->back().end = i + 1;
     }
   }
-  return blocks;
 }
 
 int BlockOf(const std::vector<Block>& blocks, size_t instr) {
@@ -329,7 +328,8 @@ std::string VerifyIR(const VFunc& vf, const Module& module) {
       leader[i + 1] = true;
     }
   }
-  std::vector<Block> blocks = BuildBlocks(leader, n);
+  std::vector<Block> blocks;
+  BuildBlocks(leader, n, &blocks);
   if (blocks.empty()) {
     return "";
   }
@@ -419,25 +419,12 @@ std::string VerifyIR(const VFunc& vf, const Module& module) {
 
 namespace {
 
-// Register-state mask for the machine dataflow: one bit per GPR, one per XMM,
-// plus a "compare state live" bit. Fits a uint64_t.
+// Register-state mask for the machine dataflow (see verify.h).
 constexpr int kXmmBase = kNumGprs;
 constexpr int kFlagsBit = kXmmBase + kNumXmms;
 inline uint64_t GprMask(Gpr g) { return 1ull << static_cast<int>(g); }
 inline uint64_t XmmMask(Xmm x) { return 1ull << (kXmmBase + static_cast<int>(x)); }
 constexpr uint64_t kFlagsMask = 1ull << kFlagsBit;
-
-// Registers the machine initializes before entering ANY function
-// (SimMachine::Run/RunAt): the stack pointer, both heap-base conventions
-// (rbx for the V8-profile codegen, r15 for the SpiderMonkey profile), and
-// the six entry argument registers. Everything else must be defined before
-// it is read — modulo the callee-save allowance below.
-constexpr uint64_t kEntryLive =
-    (1ull << static_cast<int>(Gpr::kRsp)) | (1ull << static_cast<int>(Gpr::kRbx)) |
-    (1ull << static_cast<int>(Gpr::kR15)) | (1ull << static_cast<int>(Gpr::kRdi)) |
-    (1ull << static_cast<int>(Gpr::kRsi)) | (1ull << static_cast<int>(Gpr::kRdx)) |
-    (1ull << static_cast<int>(Gpr::kRcx)) | (1ull << static_cast<int>(Gpr::kR8)) |
-    (1ull << static_cast<int>(Gpr::kR9));
 
 // Scratch registers the emitter never allocates; a call may clobber them
 // (callees use them freely and do not save them), so they die at calls —
@@ -515,26 +502,20 @@ bool IsPureDefOp(MOp op) {
   }
 }
 
-// One instruction's effect on the defined-register mask. When `report` is
-// set, reads of undefined registers produce a diagnostic in *err (first one
-// wins); the fixpoint iteration runs with report=false because only the def
-// side matters for convergence.
-void StepMachineInstr(const MInstr& in, uint64_t* live, bool report, std::string* err) {
-  auto fail = [&](const std::string& msg) {
-    if (report && err->empty()) {
-      *err = msg;
-    }
-  };
-  auto read_gpr = [&](Gpr g) {
-    if ((*live & GprMask(g)) == 0) {
-      fail(StrFormat("reads %s before any definition on this path", GprName(g)));
-    }
-  };
-  auto read_xmm = [&](Xmm x) {
-    if ((*live & XmmMask(x)) == 0) {
-      fail(StrFormat("reads %s before any definition on this path", XmmName(x)));
-    }
-  };
+// The one per-op classifier of the machine dataflow. Hands every register
+// or compare-state bit `in` reads to `on_read`, in operand order, and returns
+// the bits it kills and defines: the defined mask after `in` is
+// (live & ~kill) | def. All of an instruction's reads see the mask from
+// before it.
+struct MachineEffect {
+  uint64_t kill = 0;
+  uint64_t def = 0;
+};
+
+template <typename OnRead>
+MachineEffect ClassifyMachineInstr(const MInstr& in, OnRead&& on_read) {
+  MachineEffect e;
+  auto read_gpr = [&](Gpr g) { on_read(static_cast<int>(g)); };
   auto read_mem = [&](const MemRef& m) {
     if (m.base.has_value()) {
       read_gpr(*m.base);
@@ -549,7 +530,7 @@ void StepMachineInstr(const MInstr& in, uint64_t* live, bool report, std::string
         read_gpr(o.gpr);
         break;
       case OperandKind::kXmm:
-        read_xmm(o.xmm);
+        on_read(kXmmBase + static_cast<int>(o.xmm));
         break;
       case OperandKind::kMem:
         read_mem(o.mem);
@@ -561,19 +542,14 @@ void StepMachineInstr(const MInstr& in, uint64_t* live, bool report, std::string
   };
   auto def_op = [&](const Operand& o) {
     if (o.kind == OperandKind::kGpr) {
-      *live |= GprMask(o.gpr);
+      e.def |= GprMask(o.gpr);
     } else if (o.kind == OperandKind::kXmm) {
-      *live |= XmmMask(o.xmm);
-    }
-  };
-  auto read_flags = [&](const char* what) {
-    if ((*live & kFlagsMask) == 0) {
-      fail(StrFormat("%s with no compare state produced on this path", what));
+      e.def |= XmmMask(o.xmm);
     }
   };
   auto call_effects = [&]() {
-    *live &= ~kCallClobbered;
-    *live |= GprMask(Gpr::kRax) | XmmMask(Xmm::kXmm0);
+    e.kill = kCallClobbered;
+    e.def = GprMask(Gpr::kRax) | XmmMask(Xmm::kXmm0);
   };
   // The prologue's callee-saves (and the import stubs' pushes) legitimately
   // read registers that still hold the CALLER's values: a push, or a
@@ -586,53 +562,53 @@ void StepMachineInstr(const MInstr& in, uint64_t* live, bool report, std::string
 
   switch (in.op) {
     case MOp::kPush:
-      return;  // a save: the pushed register needs no prior definition
+      return e;  // a save: the pushed register needs no prior definition
     case MOp::kPop:
       def_op(in.dst);
-      return;
+      return e;
     case MOp::kXchg:
       read_op(in.dst);
       read_op(in.src);
-      return;
+      return e;
     case MOp::kCmp:
     case MOp::kTest:
     case MOp::kUcomisd:
     case MOp::kUcomiss:
       read_op(in.dst);
       read_op(in.src);
-      *live |= kFlagsMask;
-      return;
+      e.def = kFlagsMask;
+      return e;
     case MOp::kSetcc:
-      read_flags("setcc");
+      on_read(kFlagsBit);
       def_op(in.dst);
-      return;
+      return e;
     case MOp::kJcc:
-      read_flags("jcc");
-      return;
+      on_read(kFlagsBit);
+      return e;
     case MOp::kJmp:
     case MOp::kRet:
     case MOp::kNop:
-      return;
+      return e;
     case MOp::kCdq:
       read_gpr(Gpr::kRax);
-      *live |= GprMask(Gpr::kRdx);
-      return;
+      e.def = GprMask(Gpr::kRdx);
+      return e;
     case MOp::kIdiv:
     case MOp::kDiv:
       read_gpr(Gpr::kRax);
       read_gpr(Gpr::kRdx);
       read_op(in.dst);
       read_op(in.src);
-      *live |= GprMask(Gpr::kRax) | GprMask(Gpr::kRdx);
-      return;
+      e.def = GprMask(Gpr::kRax) | GprMask(Gpr::kRdx);
+      return e;
     case MOp::kCall:
     case MOp::kCallHost:
       call_effects();
-      return;
+      return e;
     case MOp::kCallReg:
       read_op(in.dst);
       call_effects();
-      return;
+      return e;
     default:
       break;
   }
@@ -652,7 +628,7 @@ void StepMachineInstr(const MInstr& in, uint64_t* live, bool report, std::string
     } else {
       def_op(in.dst);
     }
-    return;
+    return e;
   }
   if (IsPureDefOp(in.op)) {
     if (in.dst.is_mem()) {
@@ -665,16 +641,65 @@ void StepMachineInstr(const MInstr& in, uint64_t* live, bool report, std::string
       read_op(in.src2);
       def_op(in.dst);
     }
-    return;
+    return e;
   }
   // Any MOp not classified above gets no dataflow modeling; structural
   // checks still apply. (Currently unreachable: the switch + classes cover
   // the whole enum.)
+  return e;
+}
+
+// One instruction's (use, kill, def) masks: every bit it reads, and its
+// effect on the defined mask.
+struct InstrMasks {
+  uint64_t use = 0;
+  uint64_t kill = 0;
+  uint64_t def = 0;
+};
+
+InstrMasks MasksOf(const MInstr& in) {
+  InstrMasks m;
+  MachineEffect e = ClassifyMachineInstr(in, [&m](int bit) { m.use |= 1ull << bit; });
+  m.kill = e.kill;
+  m.def = e.def;
+  return m;
 }
 
 }  // namespace
 
-std::string VerifyMachineFunction(const MProgram& prog, size_t func_index) {
+std::string StepMachineInstr(const MInstr& in, uint64_t* live) {
+  std::string err;
+  MachineEffect e = ClassifyMachineInstr(in, [&](int bit) {
+    if (!err.empty() || ((*live >> bit) & 1) != 0) {
+      return;
+    }
+    if (bit == kFlagsBit) {
+      // Only jcc and setcc read the compare state.
+      err = StrFormat("%s with no compare state produced on this path",
+                      in.op == MOp::kSetcc ? "setcc" : "jcc");
+    } else {
+      err = StrFormat("reads %s before any definition on this path",
+                      bit < kXmmBase ? GprName(static_cast<Gpr>(bit))
+                                     : XmmName(static_cast<Xmm>(bit - kXmmBase)));
+    }
+  });
+  *live = (*live & ~e.kill) | e.def;
+  return err;
+}
+
+namespace {
+
+// The machine dataflow's working storage. VerifyMachine reuses one across a
+// program's functions, so checking a function allocates nothing once the
+// buffers have grown.
+struct MachineScratch {
+  std::vector<InstrMasks> masks;  // per instruction
+  std::vector<bool> leader;       // per instruction: starts a block
+  std::vector<Block> blocks;
+  std::vector<uint64_t> gen, kill, ins, outs;  // per block
+};
+
+std::string CheckMachineFunction(const MProgram& prog, size_t func_index, MachineScratch* s) {
   const MFunction& f = prog.funcs[func_index];
   const std::vector<MInstr>& code = f.code;
   const size_t n = code.size();
@@ -683,7 +708,11 @@ std::string VerifyMachineFunction(const MProgram& prog, size_t func_index) {
                      i, MInstrToString(code[i]).c_str(), msg.c_str());
   };
 
-  // Structural pass: branch/call targets and rbp frame discipline.
+  // One pass: structural checks (branch/call targets and rbp frame
+  // discipline, reported before any dataflow finding), each instruction's
+  // (use, kill, def) masks, and block leaders.
+  s->masks.resize(n);
+  s->leader.assign(n, false);
   for (size_t i = 0; i < n; i++) {
     const MInstr& in = code[i];
     if ((in.op == MOp::kJmp || in.op == MOp::kJcc) && in.label >= n) {
@@ -714,76 +743,86 @@ std::string VerifyMachineFunction(const MProgram& prog, size_t func_index) {
         return at(i, StrFormat("frame access [rbp%+d] hits the saved-rbp/return slots", m.disp));
       }
     }
+    s->masks[i] = MasksOf(in);
+    if (in.op == MOp::kJmp || in.op == MOp::kJcc) {
+      s->leader[in.label] = true;
+      if (i + 1 < n) {
+        s->leader[i + 1] = true;
+      }
+    } else if (in.op == MOp::kRet && i + 1 < n) {
+      s->leader[i + 1] = true;
+    }
   }
   if (n == 0) {
     return "";
   }
 
-  // Register + compare-state def-before-use dataflow.
-  std::vector<bool> leader(n, false);
-  for (size_t i = 0; i < n; i++) {
-    const MInstr& in = code[i];
-    if (in.op == MOp::kJmp || in.op == MOp::kJcc) {
-      leader[in.label] = true;
-      if (i + 1 < n) {
-        leader[i + 1] = true;
-      }
-    } else if (in.op == MOp::kRet && i + 1 < n) {
-      leader[i + 1] = true;
-    }
-  }
-  std::vector<Block> blocks = BuildBlocks(leader, n);
-  for (size_t b = 0; b < blocks.size(); b++) {
-    Block& blk = blocks[b];
+  // Register + compare-state def-before-use dataflow. Each block folds its
+  // instructions into one summary, out = (in & ~kill) | gen, so the
+  // fixpoint iterates over blocks only.
+  BuildBlocks(s->leader, n, &s->blocks);
+  const size_t nb = s->blocks.size();
+  s->gen.assign(nb, 0);
+  s->kill.assign(nb, 0);
+  for (size_t b = 0; b < nb; b++) {
+    Block& blk = s->blocks[b];
     const MInstr& last = code[blk.end - 1];
     if (last.op == MOp::kJmp || last.op == MOp::kJcc) {
-      blk.succ[blk.nsucc++] = BlockOf(blocks, last.label);
+      blk.succ[blk.nsucc++] = BlockOf(s->blocks, last.label);
     }
     if (last.op != MOp::kJmp && last.op != MOp::kRet && blk.end < n) {
       blk.succ[blk.nsucc++] = static_cast<int>(b) + 1;
     }
-  }
-  std::vector<std::vector<int>> preds(blocks.size());
-  for (size_t b = 0; b < blocks.size(); b++) {
-    for (int s = 0; s < blocks[b].nsucc; s++) {
-      preds[blocks[b].succ[s]].push_back(static_cast<int>(b));
+    for (size_t i = blk.begin; i < blk.end; i++) {
+      s->gen[b] = (s->gen[b] & ~s->masks[i].kill) | s->masks[i].def;
+      s->kill[b] |= s->masks[i].kill;
     }
   }
+  // Greatest fixpoint from the top element. A block's in is the
+  // intersection of its predecessors' outs, kept up to date by pushing each
+  // new out into the successors (outs only shrink); the entry block's in is
+  // the entry convention alone, and unreachable blocks keep the top element.
   constexpr uint64_t kAll = ~0ull;
-  auto block_in = [&](size_t b, const std::vector<uint64_t>& outs) -> uint64_t {
-    uint64_t in = b == 0 ? kEntryLive : kAll;
-    for (int p : preds[b]) {
-      in &= outs[p];
-    }
-    return b == 0 ? (in & kEntryLive) | kEntryLive : in;  // entry regs always live at entry
-  };
-  std::vector<uint64_t> outs(blocks.size(), kAll);
-  bool changed = true;
-  std::string unused;
-  while (changed) {
+  s->ins.assign(nb, kAll);
+  s->ins[0] = kMachineEntryLive;
+  s->outs.assign(nb, kAll);
+  for (bool changed = true; changed;) {
     changed = false;
-    for (size_t b = 0; b < blocks.size(); b++) {
-      uint64_t cur = block_in(b, outs);
-      for (size_t i = blocks[b].begin; i < blocks[b].end; i++) {
-        StepMachineInstr(code[i], &cur, /*report=*/false, &unused);
+    for (size_t b = 0; b < nb; b++) {
+      uint64_t out = (s->ins[b] & ~s->kill[b]) | s->gen[b];
+      if (out == s->outs[b]) {
+        continue;
       }
-      if (cur != outs[b]) {
-        outs[b] = cur;
-        changed = true;
+      s->outs[b] = out;
+      changed = true;
+      const Block& blk = s->blocks[b];
+      for (int k = 0; k < blk.nsucc; k++) {
+        if (blk.succ[k] != 0) {
+          s->ins[blk.succ[k]] &= out;
+        }
       }
     }
   }
-  for (size_t b = 0; b < blocks.size(); b++) {
-    uint64_t cur = block_in(b, outs);
-    for (size_t i = blocks[b].begin; i < blocks[b].end; i++) {
-      std::string err;
-      StepMachineInstr(code[i], &cur, /*report=*/true, &err);
-      if (!err.empty()) {
-        return at(i, err);
+  // Reporting pass: the first instruction that reads a bit not defined on
+  // every path is worded by the classifier's own step.
+  for (size_t b = 0; b < nb; b++) {
+    uint64_t cur = s->ins[b];
+    for (size_t i = s->blocks[b].begin; i < s->blocks[b].end; i++) {
+      const InstrMasks& m = s->masks[i];
+      if ((m.use & ~cur) != 0) {
+        return at(i, StepMachineInstr(code[i], &cur));
       }
+      cur = (cur & ~m.kill) | m.def;
     }
   }
   return "";
+}
+
+}  // namespace
+
+std::string VerifyMachineFunction(const MProgram& prog, size_t func_index) {
+  MachineScratch scratch;
+  return CheckMachineFunction(prog, func_index, &scratch);
 }
 
 std::string VerifyMachine(const MProgram& prog) {
@@ -829,8 +868,9 @@ std::string VerifyMachine(const MProgram& prog) {
                        static_cast<unsigned long long>(memory_bytes));
     }
   }
+  MachineScratch scratch;
   for (size_t i = 0; i < prog.funcs.size(); i++) {
-    std::string e = VerifyMachineFunction(prog, i);
+    std::string e = CheckMachineFunction(prog, i, &scratch);
     if (!e.empty()) {
       return e;
     }

@@ -30,6 +30,7 @@
 #define SRC_CODEGEN_VERIFY_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "src/codegen/ir.h"
@@ -49,6 +50,27 @@ std::string VerifyMachineFunction(const MProgram& prog, size_t func_index);
 // Whole-program check: every function plus program-level invariants
 // (layout_order permutation, entry/table/global/data bounds).
 std::string VerifyMachine(const MProgram& prog);
+
+// The machine dataflow's register-state mask has one bit per GPR (bit g),
+// one per XMM (bit kNumGprs + x) and one for the compare state. These are
+// the registers the machine initializes before entering ANY function
+// (SimMachine::Run/RunAt): the stack pointer, both heap-base conventions
+// (rbx for the V8-profile codegen, r15 for the SpiderMonkey profile), and
+// the six entry argument registers. Everything else must be defined before
+// it is read, modulo the callee-save allowance for pushes and frame saves.
+inline constexpr uint64_t kMachineEntryLive =
+    (1ull << static_cast<int>(Gpr::kRsp)) | (1ull << static_cast<int>(Gpr::kRbx)) |
+    (1ull << static_cast<int>(Gpr::kR15)) | (1ull << static_cast<int>(Gpr::kRdi)) |
+    (1ull << static_cast<int>(Gpr::kRsi)) | (1ull << static_cast<int>(Gpr::kRdx)) |
+    (1ull << static_cast<int>(Gpr::kRcx)) | (1ull << static_cast<int>(Gpr::kR8)) |
+    (1ull << static_cast<int>(Gpr::kR9));
+
+// One instruction's step of the machine dataflow: returns the diagnostic for
+// its first read of a register or compare state whose bit is clear in *live
+// (worded as VerifyMachine words it), or "", then applies the instruction's
+// kills and defs to *live. VerifyMachineFunction calls it only to word a
+// failing read; tests replay it per instruction as a reference.
+std::string StepMachineInstr(const MInstr& in, uint64_t* live);
 
 }  // namespace nsf
 

@@ -325,8 +325,11 @@ CompiledModuleRef CodeCache::GetOrCompile(uint64_t module_hash, uint64_t fingerp
     // (a stale encoder, a hostile edit with a repaired checksum, a codec
     // bug). A failing artifact is treated exactly like a corrupt file —
     // deleted, counted, recompiled — and is never executed.
+    // The verify timer spans the verifiers only: predecode has its own
+    // timer (machine.predecode_ns).
     const auto v0 = std::chrono::steady_clock::now();
     std::string diag = VerifyMachine(loaded->artifact.program());
+    uint64_t verify_elapsed_ns = ElapsedNs(v0);
     if (diag.empty()) {
       loaded->ok = true;
       loaded->from_disk = true;
@@ -335,11 +338,13 @@ CompiledModuleRef CodeCache::GetOrCompile(uint64_t module_hash, uint64_t fingerp
       // never per Instance or per run.
       loaded->BuildDecoded();
 #if defined(NSF_VERIFY_IR) || !defined(NDEBUG)
+      const auto d0 = std::chrono::steady_clock::now();
       diag = VerifyDecodedProgram(loaded->artifact.program(), *loaded->decoded);
+      verify_elapsed_ns += ElapsedNs(d0);
 #endif
     }
     static telemetry::Histogram& verify_ns = Hist("engine.disk.verify_ns");
-    verify_ns.Record(ElapsedNs(v0));
+    verify_ns.Record(verify_elapsed_ns);
     if (!diag.empty()) {
       disk_.Discard(module_hash, fingerprint);
       verify_rejects_.fetch_add(1, std::memory_order_relaxed);

@@ -80,14 +80,6 @@ void WriteBytes(std::vector<uint8_t>& out, const std::vector<uint8_t>& bytes) {
   out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-uint8_t ByteReader::ReadByte() {
-  if (pos_ >= size_) {
-    Fail();
-    return 0;
-  }
-  return data_[pos_++];
-}
-
 uint8_t ByteReader::PeekByte() {
   if (pos_ >= size_) {
     Fail();
@@ -96,7 +88,7 @@ uint8_t ByteReader::PeekByte() {
   return data_[pos_];
 }
 
-uint32_t ByteReader::ReadVarU32() {
+uint32_t ByteReader::ReadVarU32Slow() {
   uint32_t result = 0;
   int shift = 0;
   for (int i = 0; i < 5; i++) {
@@ -136,7 +128,7 @@ uint64_t ByteReader::ReadVarU64() {
   return 0;
 }
 
-int32_t ByteReader::ReadVarS32() {
+int32_t ByteReader::ReadVarS32Slow() {
   int32_t result = 0;
   int shift = 0;
   for (int i = 0; i < 5; i++) {
@@ -157,7 +149,7 @@ int32_t ByteReader::ReadVarS32() {
   return 0;
 }
 
-int64_t ByteReader::ReadVarS64() {
+int64_t ByteReader::ReadVarS64Slow() {
   int64_t result = 0;
   int shift = 0;
   for (int i = 0; i < 10; i++) {

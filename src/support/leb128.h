@@ -31,6 +31,12 @@ void WriteBytes(std::vector<uint8_t>& out, const std::vector<uint8_t>& bytes);
 // A bounds-checked forward reader over a byte buffer. All Read* methods set
 // `ok()` to false (and return 0) on malformed or truncated input instead of
 // throwing; callers check `ok()` once at a convenient boundary.
+//
+// ReadByte and the one-byte encodings of ReadVarU32/ReadVarS32/ReadVarS64
+// (values 0..127 and -64..63, the common case in both the Wasm and artifact
+// formats) are decoded inline. Every other case, including any read after a
+// failure, takes the out-of-line decoder with its bound and canonical-form
+// checks.
 class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
@@ -42,12 +48,18 @@ class ByteReader {
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ >= size_; }
 
-  uint8_t ReadByte();
+  uint8_t ReadByte() {
+    if (pos_ >= size_) [[unlikely]] {
+      Fail();
+      return 0;
+    }
+    return data_[pos_++];
+  }
   uint8_t PeekByte();
-  uint32_t ReadVarU32();
+  uint32_t ReadVarU32() { return OneByte() ? data_[pos_++] : ReadVarU32Slow(); }
   uint64_t ReadVarU64();
-  int32_t ReadVarS32();
-  int64_t ReadVarS64();
+  int32_t ReadVarS32() { return OneByte() ? SignExtend7(data_[pos_++]) : ReadVarS32Slow(); }
+  int64_t ReadVarS64() { return OneByte() ? SignExtend7(data_[pos_++]) : ReadVarS64Slow(); }
   // Block types are encoded as a signed 33-bit LEB; MVP only uses the
   // single-byte negative forms, but we decode per spec.
   int64_t ReadVarS33();
@@ -62,6 +74,14 @@ class ByteReader {
 
  private:
   void Fail() { ok_ = false; }
+  // True when the next byte is a complete LEB128 encoding (no continuation
+  // bit) and the reader has not failed.
+  bool OneByte() const { return ok_ && pos_ < size_ && data_[pos_] < 0x80; }
+  // The value of a one-byte signed LEB128: bit 6 is the sign.
+  static int32_t SignExtend7(uint8_t byte) { return static_cast<int32_t>(byte ^ 0x40) - 0x40; }
+  uint32_t ReadVarU32Slow();
+  int32_t ReadVarS32Slow();
+  int64_t ReadVarS64Slow();
 
   const uint8_t* data_;
   size_t size_;

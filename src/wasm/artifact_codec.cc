@@ -1,5 +1,6 @@
 #include "src/wasm/artifact_codec.h"
 
+#include <cstring>
 #include <utility>
 
 #include "src/support/leb128.h"
@@ -29,6 +30,28 @@ constexpr uint8_t kMagic[4] = {'N', 'S', 'F', 'A'};
 // Header bytes before the checksummed payload: magic + version + source
 // fingerprint + checksum.
 constexpr size_t kHeaderSize = 4 + 4 + 8 + 8;
+
+// The payload checksum (see artifact_codec.h): one multiply and one
+// xor-shift per little-endian 8-byte word, seeded with FNV-1a's offset
+// basis, then FNV-1a over the size % 8 tail bytes. Both per-word steps are
+// bijections of the running hash, so any change confined to one word, such
+// as any one-byte change, always changes the checksum.
+uint64_t PayloadChecksum(const uint8_t* data, size_t size) {
+  constexpr uint64_t kWordMultiplier = 0x9e3779b97f4a7c15ull;  // odd: invertible
+  constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+  uint64_t h = 0xcbf29ce484222325ull;
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, data + i, 8);
+    h = (h ^ word) * kWordMultiplier;
+    h ^= h >> 32;
+  }
+  for (; i < size; i++) {
+    h = (h ^ data[i]) * kFnvPrime;
+  }
+  return h;
+}
 
 // --- Operand / MemRef / MInstr encoding ---
 // Structured one-byte tags plus LEB fields. `comment` is carried too: it has
@@ -158,7 +181,10 @@ bool ReadInstr(ByteReader& r, MInstr* i) {
   i->cond = static_cast<Cond>(cond);
   i->label = r.ReadVarU32();
   i->func = r.ReadVarU32();
-  i->comment = r.ReadString(r.ReadVarU32());
+  // Nearly every comment is empty, and `i` arrives default-constructed.
+  if (uint32_t comment_size = r.ReadVarU32(); comment_size != 0) {
+    i->comment = r.ReadString(comment_size);
+  }
   return r.ok();
 }
 
@@ -341,7 +367,7 @@ std::vector<uint8_t> SerializeArtifact(const CompiledArtifact& artifact) {
   }
   WriteFixedU32(out, kArtifactFormatVersion);
   WriteFixedU64(out, kNsfSourceFingerprint);
-  WriteFixedU64(out, Fnv1a(payload.data(), payload.size()));
+  WriteFixedU64(out, PayloadChecksum(payload.data(), payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
@@ -366,7 +392,7 @@ bool DeserializeArtifact(const std::vector<uint8_t>& bytes, CompiledArtifact* ou
   }
   uint64_t stored_checksum = header.ReadFixedU64();
   uint64_t actual_checksum =
-      Fnv1a(bytes.data() + kHeaderSize, bytes.size() - kHeaderSize);
+      PayloadChecksum(bytes.data() + kHeaderSize, bytes.size() - kHeaderSize);
   if (stored_checksum != actual_checksum) {
     return Fail(error, "payload checksum mismatch");
   }

@@ -11,7 +11,10 @@
 //                     rejected, so a persistent cache can never serve stale
 //                     machine code after a codegen change that nobody
 //                     version-bumped
-//   payload_checksum  fixed u64: FNV-1a over every byte after this field
+//   payload_checksum  fixed u64 over every byte after this field: per
+//                     little-endian 8-byte word, h = (h ^ word) * K and
+//                     h ^= h >> 32 (K odd, h seeded with FNV-1a's offset
+//                     basis), then FNV-1a over the size % 8 tail bytes
 //   payload           module bytes (the Wasm binary encoding), provenance,
 //                     compile stats/maps, and the MProgram in structured form
 //
@@ -35,7 +38,10 @@
 
 namespace nsf {
 
-inline constexpr uint32_t kArtifactFormatVersion = 1;
+// Version 2 replaced version 1's byte-serial FNV-1a payload checksum with the
+// word-wise one above; the payload layout is unchanged. A file of any other
+// version is rejected, so the disk tier deletes and recompiles it once.
+inline constexpr uint32_t kArtifactFormatVersion = 2;
 
 // Encodes `artifact` (which must be ok(): failed compiles are not artifacts).
 std::vector<uint8_t> SerializeArtifact(const CompiledArtifact& artifact);

@@ -445,6 +445,107 @@ TEST(Artifact, RejectsCorruptTruncatedAndVersionMismatchedBytes) {
   EXPECT_TRUE(DeserializeArtifact(good, &out, &error)) << error;
 }
 
+TEST(Artifact, EveryOneByteChangeAndEveryTruncationIsRejected) {
+  engine::Engine eng;
+  engine::CompiledModuleRef code = eng.Compile(SumSquaresModule(), CodegenOptions::FirefoxSM());
+  ASSERT_TRUE(code->ok);
+  const std::vector<uint8_t> good = SerializeArtifact(code->artifact);
+  CompiledArtifact out;
+  std::string error;
+  for (size_t offset = 0; offset < good.size(); offset++) {
+    for (uint8_t delta : {0x01, 0x80, 0xff}) {
+      std::vector<uint8_t> changed = good;
+      changed[offset] ^= delta;
+      EXPECT_FALSE(DeserializeArtifact(changed, &out, &error))
+          << "byte " << offset << " of " << good.size() << " xor " << int{delta};
+    }
+  }
+  for (size_t keep = 0; keep < good.size(); keep++) {
+    std::vector<uint8_t> truncated(good.begin(), good.begin() + static_cast<std::ptrdiff_t>(keep));
+    EXPECT_FALSE(DeserializeArtifact(truncated, &out, &error)) << "kept " << keep;
+  }
+  EXPECT_TRUE(DeserializeArtifact(good, &out, &error)) << error;
+}
+
+TEST(Artifact, ReserializingIsTheIdentityUnderEachPaperProfile) {
+  Module m = PolybenchSpec(PolybenchKernelNames().front()).build();
+  for (const CodegenOptions& opts :
+       {CodegenOptions::NativeClang(), CodegenOptions::ChromeV8(), CodegenOptions::FirefoxSM()}) {
+    engine::Engine eng;
+    engine::CompiledModuleRef code = eng.Compile(m, opts);
+    ASSERT_TRUE(code->ok) << opts.profile_name << ": " << code->error;
+    std::vector<uint8_t> bytes = SerializeArtifact(code->artifact);
+    CompiledArtifact restored;
+    std::string error;
+    ASSERT_TRUE(DeserializeArtifact(bytes, &restored, &error)) << opts.profile_name << ": " << error;
+    EXPECT_EQ(SerializeArtifact(restored), bytes) << opts.profile_name;
+  }
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  FILE* f = fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return bytes;
+  }
+  for (int c = fgetc(f); c != EOF; c = fgetc(f)) {
+    bytes.push_back(static_cast<uint8_t>(c));
+  }
+  fclose(f);
+  return bytes;
+}
+
+// A version-1 file (format 1 used byte-serial FNV-1a as its payload checksum
+// over the same payload layout) is a load failure: the engine deletes it,
+// recompiles, and stores a current-format file in its place.
+TEST(DiskCache, VersionOneFileIsDeletedAndRecompiledOnce) {
+  TempCacheDir dir("v1");
+  Module m = SumSquaresModule(7);
+  const CodegenOptions options = CodegenOptions::ChromeV8();
+  std::string path;
+  {
+    engine::Engine writer(DiskConfig(dir.path));
+    ASSERT_TRUE(writer.Compile(m, options)->ok);
+    path = writer.cache().disk().PathForKey(HashModule(m), options.Fingerprint());
+  }
+  constexpr size_t kHeaderSize = 4 + 4 + 8 + 8;  // magic, version, source fp, checksum
+  std::vector<uint8_t> v1 = ReadFileBytes(path);
+  ASSERT_GT(v1.size(), kHeaderSize);
+  const uint64_t fnv = Fnv1a(v1.data() + kHeaderSize, v1.size() - kHeaderSize);
+  for (int i = 0; i < 4; i++) {
+    v1[4 + i] = i == 0 ? 1 : 0;
+  }
+  for (int i = 0; i < 8; i++) {
+    v1[16 + i] = static_cast<uint8_t>(fnv >> (8 * i));
+  }
+  {
+    FILE* f = fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(fwrite(v1.data(), 1, v1.size(), f), v1.size());
+    fclose(f);
+  }
+
+  engine::Engine reader(DiskConfig(dir.path));
+  engine::CompiledModuleRef a = reader.Compile(m, options);
+  ASSERT_TRUE(a->ok) << a->error;
+  EXPECT_FALSE(a->from_disk);
+  engine::EngineStats rs = reader.Stats();
+  EXPECT_EQ(rs.disk_load_failures, 1u);
+  EXPECT_EQ(rs.disk_hits, 0u);
+  EXPECT_EQ(rs.compiles, 1u);
+  EXPECT_EQ(rs.disk_stores, 1u);
+  std::vector<uint8_t> replaced = ReadFileBytes(path);
+  ASSERT_GT(replaced.size(), kHeaderSize);
+  EXPECT_EQ(replaced[4], kArtifactFormatVersion);
+
+  engine::Engine again(DiskConfig(dir.path));
+  engine::CompiledModuleRef b = again.Compile(m, options);
+  ASSERT_TRUE(b->ok);
+  EXPECT_TRUE(b->from_disk);
+  EXPECT_EQ(again.Stats().disk_load_failures, 0u);
+  EXPECT_EQ(again.Stats().compiles, 0u);
+}
+
 TEST(DiskCache, SecondEngineLoadsArtifactInsteadOfCompiling) {
   TempCacheDir dir("reload");
   Module m = SumSquaresModule(5);

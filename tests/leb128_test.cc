@@ -103,6 +103,65 @@ TEST(Leb128, NonCanonicalHighBitsRejected) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(Leb128, EveryOneByteEncodingDecodesInPlace) {
+  for (int b = 0; b < 0x80; b++) {
+    const std::vector<uint8_t> buf = {static_cast<uint8_t>(b), 0xff};
+    // Bit 6 is the sign of a one-byte signed encoding: 0x40 is -64, 0x7f -1.
+    const int64_t as_signed = b < 0x40 ? b : b - 0x80;
+    {
+      ByteReader r(buf);
+      EXPECT_EQ(r.ReadVarU32(), static_cast<uint32_t>(b)) << b;
+      EXPECT_TRUE(r.ok());
+      EXPECT_EQ(r.pos(), 1u);
+    }
+    {
+      ByteReader r(buf);
+      EXPECT_EQ(r.ReadVarS32(), as_signed) << b;
+      EXPECT_TRUE(r.ok());
+      EXPECT_EQ(r.pos(), 1u);
+    }
+    {
+      ByteReader r(buf);
+      EXPECT_EQ(r.ReadVarS64(), as_signed) << b;
+      EXPECT_TRUE(r.ok());
+      EXPECT_EQ(r.pos(), 1u);
+    }
+  }
+}
+
+TEST(Leb128, ReadAtEndOfBufferFails) {
+  const std::vector<uint8_t> buf = {0x05};
+  {
+    ByteReader r(buf);
+    EXPECT_EQ(r.ReadByte(), 0x05);
+    EXPECT_EQ(r.ReadByte(), 0);
+    EXPECT_FALSE(r.ok());
+  }
+  {
+    ByteReader r(buf);
+    EXPECT_EQ(r.ReadVarU32(), 5u);
+    EXPECT_EQ(r.ReadVarU32(), 0u);
+    EXPECT_FALSE(r.ok());
+  }
+  {
+    ByteReader r(buf);
+    EXPECT_EQ(r.ReadVarS32(), 5);
+    EXPECT_EQ(r.ReadVarS32(), 0);
+    EXPECT_FALSE(r.ok());
+  }
+  {
+    ByteReader r(buf);
+    EXPECT_EQ(r.ReadVarS64(), 5);
+    EXPECT_EQ(r.ReadVarS64(), 0);
+    EXPECT_FALSE(r.ok());
+  }
+  {
+    ByteReader r(nullptr, 0);
+    EXPECT_EQ(r.ReadVarU32(), 0u);
+    EXPECT_FALSE(r.ok());
+  }
+}
+
 TEST(ByteReader, FixedReads) {
   std::vector<uint8_t> buf = {0x78, 0x56, 0x34, 0x12, 0xff};
   ByteReader r(buf);

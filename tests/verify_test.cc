@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "src/engine/engine.h"
 #include "src/machine/verify_decoded.h"
 #include "src/polybench/polybench.h"
+#include "src/support/str.h"
 #include "src/wasm/artifact_codec.h"
 #include "src/wasm/encoder.h"
 
@@ -269,6 +271,240 @@ TEST(VerifyMachine, LayoutOrderMustBePermutation) {
   prog.layout_order = {0, 0};
   std::string diag = VerifyMachine(prog);
   EXPECT_NE(diag.find("layout_order"), std::string::npos) << diag;
+}
+
+// --- The block-summary machine verifier against a per-instruction reference --
+
+// VerifyMachineFunction as it was before it folded blocks into (gen, kill)
+// summaries: the same structural pass, then a round-robin fixpoint that
+// steps every instruction of every block on every iteration, then a
+// reporting pass that steps every instruction again.
+std::string ReferenceVerifyMachineFunction(const MProgram& prog, size_t func_index) {
+  const MFunction& f = prog.funcs[func_index];
+  const std::vector<MInstr>& code = f.code;
+  const size_t n = code.size();
+  auto at = [&](size_t i, const std::string& msg) {
+    return StrFormat("machine func '%s' (#%zu) instr #%zu [%s]: %s", f.name.c_str(), func_index,
+                     i, MInstrToString(code[i]).c_str(), msg.c_str());
+  };
+  for (size_t i = 0; i < n; i++) {
+    const MInstr& in = code[i];
+    if ((in.op == MOp::kJmp || in.op == MOp::kJcc) && in.label >= n) {
+      return at(i, StrFormat("branch target %u out of range (%zu instructions)", in.label, n));
+    }
+    if (in.op == MOp::kCall && in.func >= prog.funcs.size()) {
+      return at(i, StrFormat("call target f%u out of range (%zu functions)", in.func,
+                             prog.funcs.size()));
+    }
+    for (const Operand* o : {&in.dst, &in.src, &in.src2}) {
+      if (!o->is_mem() || !o->mem.base.has_value() || *o->mem.base != Gpr::kRbp) {
+        continue;
+      }
+      const MemRef& m = o->mem;
+      if (m.index.has_value()) {
+        return at(i, "indexed rbp addressing (frame accesses are [rbp + disp] only)");
+      }
+      if (m.disp % 8 != 0) {
+        return at(i, StrFormat("misaligned frame access [rbp%+d]", m.disp));
+      }
+      if (m.disp < 0) {
+        if (-(static_cast<int64_t>(m.disp)) / 8 > f.frame_slots) {
+          return at(i, StrFormat("frame access [rbp%+d] outside the %u-slot frame", m.disp,
+                                 f.frame_slots));
+        }
+      } else if (m.disp < 16) {
+        return at(i, StrFormat("frame access [rbp%+d] hits the saved-rbp/return slots", m.disp));
+      }
+    }
+  }
+  if (n == 0) {
+    return "";
+  }
+  std::vector<size_t> begins;  // block i spans [begins[i], begins[i + 1])
+  std::vector<bool> leader(n, false);
+  leader[0] = true;
+  for (size_t i = 0; i < n; i++) {
+    if (code[i].op == MOp::kJmp || code[i].op == MOp::kJcc) {
+      leader[code[i].label] = true;
+    }
+    if ((code[i].op == MOp::kJmp || code[i].op == MOp::kJcc || code[i].op == MOp::kRet) &&
+        i + 1 < n) {
+      leader[i + 1] = true;
+    }
+  }
+  std::vector<size_t> block_of(n);
+  for (size_t i = 0; i < n; i++) {
+    if (leader[i]) {
+      begins.push_back(i);
+    }
+    block_of[i] = begins.size() - 1;
+  }
+  const size_t nb = begins.size();
+  begins.push_back(n);
+  std::vector<std::vector<size_t>> preds(nb);
+  for (size_t b = 0; b < nb; b++) {
+    const MInstr& last = code[begins[b + 1] - 1];
+    if (last.op == MOp::kJmp || last.op == MOp::kJcc) {
+      preds[block_of[last.label]].push_back(b);
+    }
+    if (last.op != MOp::kJmp && last.op != MOp::kRet && begins[b + 1] < n) {
+      preds[b + 1].push_back(b);
+    }
+  }
+  auto block_in = [&](size_t b, const std::vector<uint64_t>& outs) {
+    if (b == 0) {
+      return kMachineEntryLive;
+    }
+    uint64_t in = ~0ull;
+    for (size_t p : preds[b]) {
+      in &= outs[p];
+    }
+    return in;
+  };
+  std::vector<uint64_t> outs(nb, ~0ull);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (size_t b = 0; b < nb; b++) {
+      uint64_t cur = block_in(b, outs);
+      for (size_t i = begins[b]; i < begins[b + 1]; i++) {
+        StepMachineInstr(code[i], &cur);
+      }
+      changed |= cur != outs[b];
+      outs[b] = cur;
+    }
+  }
+  for (size_t b = 0; b < nb; b++) {
+    uint64_t cur = block_in(b, outs);
+    for (size_t i = begins[b]; i < begins[b + 1]; i++) {
+      std::string err = StepMachineInstr(code[i], &cur);
+      if (!err.empty()) {
+        return at(i, err);
+      }
+    }
+  }
+  return "";
+}
+
+// The function-level half of VerifyMachine; the mutants below leave every
+// program-level field alone.
+std::string ReferenceVerifyMachineFunctions(const MProgram& prog) {
+  for (size_t i = 0; i < prog.funcs.size(); i++) {
+    std::string e = ReferenceVerifyMachineFunction(prog, i);
+    if (!e.empty()) {
+      return e;
+    }
+  }
+  return "";
+}
+
+// Replaces one register the instruction names (a register operand, or a
+// memory operand's base or index) with another of the same class. Returns
+// false when the instruction names none.
+bool SwapOneRegister(MInstr* in, std::mt19937* rng) {
+  std::vector<Gpr*> gprs;
+  std::vector<Xmm*> xmms;
+  for (Operand* o : {&in->dst, &in->src, &in->src2}) {
+    if (o->kind == OperandKind::kGpr) {
+      gprs.push_back(&o->gpr);
+    } else if (o->kind == OperandKind::kXmm) {
+      xmms.push_back(&o->xmm);
+    } else if (o->kind == OperandKind::kMem) {
+      for (std::optional<Gpr>* r : {&o->mem.base, &o->mem.index}) {
+        if (r->has_value()) {
+          gprs.push_back(&**r);
+        }
+      }
+    }
+  }
+  size_t slots = gprs.size() + xmms.size();
+  if (slots == 0) {
+    return false;
+  }
+  size_t pick = (*rng)() % slots;
+  int shift = 1 + static_cast<int>((*rng)() % 15);  // never back to itself
+  if (pick < gprs.size()) {
+    *gprs[pick] = static_cast<Gpr>((static_cast<int>(*gprs[pick]) + shift) % kNumGprs);
+  } else {
+    Xmm* x = xmms[pick - gprs.size()];
+    *x = static_cast<Xmm>((static_cast<int>(*x) + shift) % kNumXmms);
+  }
+  return true;
+}
+
+// Every PolyBench program under the three paper profiles, and seeded
+// single-instruction mutants of each: the block-summary verifier must return
+// exactly the reference's string, whether it accepts or rejects.
+TEST(VerifyMachine, BlockSummaryMatchesPerInstructionReference) {
+  std::mt19937 rng(20261018);
+  constexpr int kMutantsPerKind = 40;
+  size_t mutants = 0;
+  size_t rejected = 0;
+  for (const std::string& name : PolybenchKernelNames()) {
+    Module m = PolybenchSpec(name).build();
+    for (const CodegenOptions& opts :
+         {CodegenOptions::NativeClang(), CodegenOptions::ChromeV8(), CodegenOptions::FirefoxSM()}) {
+      CompileResult cr = CompileModule(m, opts);
+      ASSERT_TRUE(cr.ok) << name << " under " << opts.profile_name << ": " << cr.error;
+      MProgram& prog = cr.program;
+      ASSERT_EQ(VerifyMachine(prog), "") << name << " under " << opts.profile_name;
+      ASSERT_EQ(ReferenceVerifyMachineFunctions(prog), "");
+      for (int kind = 0; kind < 4; kind++) {
+        for (int k = 0; k < kMutantsPerKind; k++) {
+          size_t fi = rng() % prog.funcs.size();
+          std::vector<MInstr>& code = prog.funcs[fi].code;
+          if (code.empty()) {
+            continue;
+          }
+          const std::vector<MInstr> original = code;
+          size_t i = rng() % code.size();
+          bool mutated = true;
+          switch (kind) {
+            case 0:  // the instruction becomes a nop
+              code[i].op = MOp::kNop;
+              break;
+            case 1:  // one register it names becomes another
+              mutated = SwapOneRegister(&code[i], &rng);
+              break;
+            case 2:  // the instruction is deleted; branches past it shift down
+              code.erase(code.begin() + static_cast<std::ptrdiff_t>(i));
+              for (MInstr& in : code) {
+                if ((in.op == MOp::kJmp || in.op == MOp::kJcc) && in.label > i) {
+                  in.label--;
+                }
+              }
+              break;
+            case 3: {  // a branch gets a new target, in range or one past it
+              std::vector<size_t> branches;
+              for (size_t j = 0; j < code.size(); j++) {
+                if (code[j].op == MOp::kJmp || code[j].op == MOp::kJcc) {
+                  branches.push_back(j);
+                }
+              }
+              mutated = !branches.empty();
+              if (mutated) {
+                code[branches[rng() % branches.size()]].label =
+                    static_cast<uint32_t>(rng() % (code.size() + 1));
+              }
+              break;
+            }
+          }
+          if (mutated) {
+            std::string got = VerifyMachine(prog);
+            ASSERT_EQ(got, ReferenceVerifyMachineFunctions(prog))
+                << name << " under " << opts.profile_name << ", mutant kind " << kind
+                << " at func #" << fi << " instr #" << i;
+            mutants++;
+            rejected += got.empty() ? 0 : 1;
+          }
+          code = original;
+        }
+      }
+    }
+  }
+  // The mutants exercise both outcomes.
+  EXPECT_GT(mutants, 8000u);
+  EXPECT_GT(rejected, 400u);
+  EXPECT_LT(rejected, mutants);
 }
 
 // --- DecodedProgram cross-checker -------------------------------------------
