@@ -10,7 +10,6 @@
 
 #include "nsf_build_id.h"
 #include "src/engine/engine.h"
-#include "src/harness/harness.h"
 #include "src/polybench/polybench.h"
 #include "src/support/str.h"
 #include "src/telemetry/metrics.h"

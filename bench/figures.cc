@@ -4,6 +4,9 @@
 // run: Fig 3b, 9, 10 and Tables 1 and 4 share one SPEC set, Fig 4, 5 and 6
 // one asm.js set, and Fig 1, 3a and the PGO ablation one PolyBench set.
 //
+// main() lists every key before it runs any, runs them all on one
+// ExecutorPool with a worker per hardware thread, and only then renders.
+//
 // Prints each figure's table to stdout and writes its BENCH_<name>.json into
 // the working directory. Exits non-zero when any run fails, traps or
 // mismatches the reference, when a tier-up fails, or when PGO raises either
@@ -12,27 +15,74 @@
 
 #include <algorithm>
 #include <map>
+#include <thread>
 #include <utility>
 
+#include "src/engine/executor.h"
 #include "src/spec/spec.h"
 
 using namespace nsf;
 
 namespace {
 
+// One key's run, and whether its outputs equal its workload's native
+// reference outputs.
+struct Run : engine::BatchRunResult {
+  bool validated = false;
+};
+
 class Results {
  public:
-  // The run of `spec` under `options`, measured the first time the key is
-  // asked for. The reference stays valid for the Results' lifetime.
-  const RunResult& Get(const WorkloadSpec& spec, const CodegenOptions& options) {
-    auto [it, fresh] = runs_.try_emplace(std::make_pair(spec.name, options.Fingerprint()));
-    if (fresh) {
-      it->second = harness_.MeasureValidated(spec, options);
-      if (!it->second.ok || !it->second.validated) {
-        Fail(spec.name + " under " + options.profile_name + ": " + it->second.error);
+  // Queues `spec` under each of `profiles`. A key is (workload name, options
+  // fingerprint), so a key queued twice runs once.
+  void Add(const WorkloadSpec& spec, const std::vector<CodegenOptions>& profiles) {
+    for (const CodegenOptions& options : profiles) {
+      if (index_.try_emplace({spec.name, options.Fingerprint()}, requests_.size()).second) {
+        requests_.push_back({spec, options});
       }
     }
-    return it->second;
+  }
+
+  // Runs every queued key on one pool over the shared engine and compares
+  // each run's outputs with its workload's native reference run. The
+  // references go first, as their own batch, so that every native key of the
+  // second batch is a code-cache hit: the pins hold cache_hit.
+  void RunAll() {
+    engine::ExecutorPool pool(&SharedEngine(),
+                              static_cast<int>(std::thread::hardware_concurrency()));
+    std::vector<engine::RunRequest> references;
+    std::map<std::string, size_t> reference_of;  // workload name -> slot in references
+    for (const engine::RunRequest& request : requests_) {
+      if (reference_of.try_emplace(request.spec.name, references.size()).second) {
+        references.push_back({request.spec, CodegenOptions::NativeClang()});
+      }
+    }
+    const engine::BatchReport reference_report = pool.Run(references);
+    engine::BatchReport report = pool.Run(requests_);
+    for (size_t i = 0; i < requests_.size(); i++) {
+      const engine::RunRequest& request = requests_[i];
+      const engine::BatchRunResult& reference =
+          reference_report.runs[reference_of[request.spec.name]];
+      Run& run = runs_.emplace_back(Run{std::move(report.runs[i])});
+      run.validated = run.ok && reference.ok && run.outputs == reference.outputs;
+      if (!run.validated) {
+        Fail(request.spec.name + " under " + request.options.profile_name + ": " +
+             (!run.ok        ? run.error
+              : reference.ok ? "output mismatch vs reference"
+                             : "reference run failed: " + reference.error));
+      }
+    }
+  }
+
+  // The run of `spec` under `options`; a key that was never queued fails.
+  const Run& Get(const WorkloadSpec& spec, const CodegenOptions& options) {
+    auto it = index_.find({spec.name, options.Fingerprint()});
+    if (it == index_.end()) {
+      Fail(spec.name + " under " + options.profile_name + ": never run");
+      static const Run kMissing;
+      return kMissing;
+    }
+    return runs_[it->second];
   }
 
   void Fail(const std::string& what) {
@@ -42,8 +92,9 @@ class Results {
   bool failed() const { return failed_; }
 
  private:
-  BenchHarness harness_{&SharedEngine()};
-  std::map<std::pair<std::string, uint64_t>, RunResult> runs_;
+  std::map<std::pair<std::string, uint64_t>, size_t> index_;  // key -> slot
+  std::vector<engine::RunRequest> requests_;                    // by slot
+  std::vector<Run> runs_;                                        // by slot, after RunAll
   bool failed_ = false;
 };
 
@@ -59,24 +110,24 @@ std::vector<WorkloadSpec> AllSpec() {
 const char* Sep(const std::string& json) { return json.back() == '{' ? "" : ","; }
 
 // One run's counters as a JSON object.
-std::string RunResultJson(const RunResult& r) {
+std::string RunResultJson(const Run& r) {
   return StrFormat(
       "{\"ok\":%s,\"validated\":%s,\"cache_hit\":%s,\"seconds\":%.9f,\"cycles\":%llu,"
       "\"instructions\":%llu,\"loads\":%llu,\"stores\":%llu,\"branches\":%llu,"
       "\"cond_branches\":%llu,\"taken_branches\":%llu,\"l1i_misses\":%llu,"
       "\"l1d_misses\":%llu,\"l2_misses\":%llu,\"code_bytes\":%llu}",
       r.ok ? "true" : "false", r.validated ? "true" : "false",
-      r.cache_hit ? "true" : "false", r.seconds,
-      static_cast<unsigned long long>(r.counters.cycles()),
-      static_cast<unsigned long long>(r.counters.instructions_retired),
-      static_cast<unsigned long long>(r.counters.loads_retired),
-      static_cast<unsigned long long>(r.counters.stores_retired),
-      static_cast<unsigned long long>(r.counters.branches_retired),
-      static_cast<unsigned long long>(r.counters.cond_branches_retired),
-      static_cast<unsigned long long>(r.counters.taken_branches),
-      static_cast<unsigned long long>(r.counters.l1i_misses),
-      static_cast<unsigned long long>(r.counters.l1d_misses),
-      static_cast<unsigned long long>(r.counters.l2_misses),
+      r.cache_hit ? "true" : "false", r.outcome.seconds,
+      static_cast<unsigned long long>(r.outcome.counters.cycles()),
+      static_cast<unsigned long long>(r.outcome.counters.instructions_retired),
+      static_cast<unsigned long long>(r.outcome.counters.loads_retired),
+      static_cast<unsigned long long>(r.outcome.counters.stores_retired),
+      static_cast<unsigned long long>(r.outcome.counters.branches_retired),
+      static_cast<unsigned long long>(r.outcome.counters.cond_branches_retired),
+      static_cast<unsigned long long>(r.outcome.counters.taken_branches),
+      static_cast<unsigned long long>(r.outcome.counters.l1i_misses),
+      static_cast<unsigned long long>(r.outcome.counters.l1d_misses),
+      static_cast<unsigned long long>(r.outcome.counters.l2_misses),
       static_cast<unsigned long long>(r.compile.code_bytes));
 }
 
@@ -86,7 +137,7 @@ std::string SuiteJson(Results& results, const std::vector<WorkloadSpec>& specs,
                       const std::vector<CodegenOptions>& profiles) {
   std::string out = "{\"workloads\":{";
   for (const WorkloadSpec& spec : specs) {
-    std::map<std::string, const RunResult*> by_profile;
+    std::map<std::string, const Run*> by_profile;
     for (const CodegenOptions& opts : profiles) {
       by_profile[opts.profile_name] = &results.Get(spec, opts);
     }
@@ -107,11 +158,11 @@ struct Ratios {
   std::vector<double> firefox;
 };
 
-double Seconds(const RunResult& r) { return r.seconds; }
+double Seconds(const Run& r) { return r.outcome.seconds; }
 
 // metric(Wasm run) / metric(native run) per workload.
 Ratios VsNative(Results& results, const std::vector<WorkloadSpec>& specs,
-                double (*metric)(const RunResult&)) {
+                double (*metric)(const Run&)) {
   Ratios out;
   for (const WorkloadSpec& spec : specs) {
     double native = metric(results.Get(spec, CodegenOptions::NativeClang()));
@@ -141,31 +192,36 @@ struct Counter {
   const char* table4_label;
   const char* paper_chrome;
   const char* paper_firefox;
-  double (*metric)(const RunResult&);
+  double (*metric)(const Run&);
 };
 
 const Counter kCounters[] = {
     {"loads-retired (9a)", "all-loads-retired", "2.02x", "1.92x",
-     [](const RunResult& r) { return static_cast<double>(r.counters.loads_retired); }},
+     [](const Run& r) { return static_cast<double>(r.outcome.counters.loads_retired); }},
     {"stores-retired (9b)", "all-stores-retired", "2.30x", "2.16x",
-     [](const RunResult& r) { return static_cast<double>(r.counters.stores_retired); }},
+     [](const Run& r) { return static_cast<double>(r.outcome.counters.stores_retired); }},
     {"branches-retired (9c)", "branch-instructions-retired", "1.75x", "1.65x",
-     [](const RunResult& r) { return static_cast<double>(r.counters.branches_retired); }},
+     [](const Run& r) { return static_cast<double>(r.outcome.counters.branches_retired); }},
     {"cond-branches (9d)", "conditional-branches", "1.65x", "1.62x",
-     [](const RunResult& r) { return static_cast<double>(r.counters.cond_branches_retired); }},
+     [](const Run& r) { return static_cast<double>(r.outcome.counters.cond_branches_retired); }},
     {"instructions-retired (9e)", "instructions-retired", "1.80x", "1.75x",
-     [](const RunResult& r) { return static_cast<double>(r.counters.instructions_retired); }},
+     [](const Run& r) { return static_cast<double>(r.outcome.counters.instructions_retired); }},
     {"cpu-cycles (9f)", "cpu-cycles", "1.54x", "1.38x",
-     [](const RunResult& r) { return static_cast<double>(r.counters.cycles()); }},
+     [](const Run& r) { return static_cast<double>(r.outcome.counters.cycles()); }},
     {nullptr, "L1-icache-load-misses", "2.83x", "2.04x",
-     [](const RunResult& r) { return static_cast<double>(r.counters.l1i_misses); }},
+     [](const Run& r) { return static_cast<double>(r.outcome.counters.l1i_misses); }},
 };
 constexpr size_t kL1iCounter = 6;
 
+// Fig 1's Chrome engines, oldest first.
+std::vector<CodegenOptions> ChromeEras() {
+  return {CodegenOptions::ChromeV8_2017(), CodegenOptions::ChromeV8_2018(),
+          CodegenOptions::ChromeV8()};
+}
+
 void Fig01(Results& results, const std::vector<WorkloadSpec>& polybench) {
   printf("== Figure 1: PolyBenchC kernels within Nx of native, by engine era ==\n\n");
-  const CodegenOptions eras[] = {CodegenOptions::ChromeV8_2017(),
-                                 CodegenOptions::ChromeV8_2018(), CodegenOptions::ChromeV8()};
+  const std::vector<CodegenOptions> eras = ChromeEras();
   const char* labels[] = {"PLDI 2017", "April 2018", "May 2019 (this paper)"};
   const double buckets[] = {1.1, 1.5, 2.0, 2.5};
   std::vector<std::vector<std::string>> table = {
@@ -173,8 +229,8 @@ void Fig01(Results& results, const std::vector<WorkloadSpec>& polybench) {
   for (int e = 0; e < 3; e++) {
     int counts[4] = {0, 0, 0, 0};
     for (const WorkloadSpec& spec : polybench) {
-      double ratio = results.Get(spec, eras[e]).seconds /
-                     results.Get(spec, CodegenOptions::NativeClang()).seconds;
+      double ratio = results.Get(spec, eras[e]).outcome.seconds /
+                     results.Get(spec, CodegenOptions::NativeClang()).outcome.seconds;
       for (int b = 0; b < 4; b++) {
         if (ratio < buckets[b]) {
           counts[b]++;
@@ -218,11 +274,11 @@ void Fig04(Results& results, const std::vector<WorkloadSpec>& spec) {
   double total = 0;
   std::string json = "{\"workloads\":{";
   for (const WorkloadSpec& s : spec) {
-    const RunResult& r = results.Get(s, CodegenOptions::FirefoxSM());
-    double pct = 100.0 * r.browsix_seconds / r.seconds;
+    const Run& r = results.Get(s, CodegenOptions::FirefoxSM());
+    double pct = 100.0 * r.outcome.browsix_seconds / r.outcome.seconds;
     json += StrFormat("%s\"%s\":{\"browsix_pct\":%.4f,\"syscalls\":%llu}",
                       Sep(json), JsonEscape(s.name).c_str(), pct,
-                      static_cast<unsigned long long>(r.syscalls));
+                      static_cast<unsigned long long>(r.outcome.syscalls));
     bars.push_back({s.name, pct});
     total += pct;
   }
@@ -245,10 +301,10 @@ void Fig05(Results& results, const std::vector<WorkloadSpec>& spec) {
   Ratios ratios;
   for (const WorkloadSpec& s : spec) {
     ratios.names.push_back(s.name);
-    ratios.chrome.push_back(results.Get(s, CodegenOptions::ChromeAsmJs()).seconds /
-                            results.Get(s, CodegenOptions::ChromeV8()).seconds);
-    ratios.firefox.push_back(results.Get(s, CodegenOptions::FirefoxAsmJs()).seconds /
-                             results.Get(s, CodegenOptions::FirefoxSM()).seconds);
+    ratios.chrome.push_back(results.Get(s, CodegenOptions::ChromeAsmJs()).outcome.seconds /
+                            results.Get(s, CodegenOptions::ChromeV8()).outcome.seconds);
+    ratios.firefox.push_back(results.Get(s, CodegenOptions::FirefoxAsmJs()).outcome.seconds /
+                             results.Get(s, CodegenOptions::FirefoxSM()).outcome.seconds);
   }
   printf("%s\n", RatioTable(ratios).c_str());
   printf("Paper (Fig 5): Wasm beats asm.js — 1.54x (Chrome), 1.39x (Firefox).\n");
@@ -260,10 +316,10 @@ void Fig06(Results& results, const std::vector<WorkloadSpec>& spec) {
   std::vector<std::vector<std::string>> table = {{"benchmark", "best-asmjs / best-wasm"}};
   std::vector<double> ratios;
   for (const WorkloadSpec& s : spec) {
-    double wasm_best = std::min(results.Get(s, CodegenOptions::ChromeV8()).seconds,
-                                results.Get(s, CodegenOptions::FirefoxSM()).seconds);
-    double asm_best = std::min(results.Get(s, CodegenOptions::ChromeAsmJs()).seconds,
-                               results.Get(s, CodegenOptions::FirefoxAsmJs()).seconds);
+    double wasm_best = std::min(results.Get(s, CodegenOptions::ChromeV8()).outcome.seconds,
+                                results.Get(s, CodegenOptions::FirefoxSM()).outcome.seconds);
+    double asm_best = std::min(results.Get(s, CodegenOptions::ChromeAsmJs()).outcome.seconds,
+                               results.Get(s, CodegenOptions::FirefoxAsmJs()).outcome.seconds);
     ratios.push_back(asm_best / wasm_best);
     table.push_back({s.name, StrFormat("%.2fx", ratios.back())});
   }
@@ -275,15 +331,17 @@ void Fig06(Results& results, const std::vector<WorkloadSpec>& spec) {
 
 // Paper sizes 200..2000 are scaled to 32..224 to keep simulated runs
 // tractable; the shape (a stable 2-3x band) is the claim under test.
+constexpr int kMatmulSizes[] = {32, 48, 64, 96, 128, 160, 192, 224};
+
 void Fig08(Results& results) {
   printf("== Figure 8: matmul relative time across sizes (native = 1.0) ==\n\n");
   std::vector<std::vector<std::string>> table = {{"size", "chrome", "firefox"}};
   std::string json = "{\"sizes\":{";
-  for (int n : {32, 48, 64, 96, 128, 160, 192, 224}) {
+  for (int n : kMatmulSizes) {
     WorkloadSpec spec = MatmulSpec(n);
-    double native = results.Get(spec, CodegenOptions::NativeClang()).seconds;
-    double chrome = results.Get(spec, CodegenOptions::ChromeV8()).seconds / native;
-    double firefox = results.Get(spec, CodegenOptions::FirefoxSM()).seconds / native;
+    double native = results.Get(spec, CodegenOptions::NativeClang()).outcome.seconds;
+    double chrome = results.Get(spec, CodegenOptions::ChromeV8()).outcome.seconds / native;
+    double firefox = results.Get(spec, CodegenOptions::FirefoxSM()).outcome.seconds / native;
     table.push_back({StrFormat("%dx%dx%d", n, n, n), StrFormat("%.2fx", chrome),
                      StrFormat("%.2fx", firefox)});
     json += StrFormat("%s\"%d\":{\"chrome\":%.4f,\"firefox\":%.4f}", Sep(json), n,
@@ -325,9 +383,9 @@ void Table1(Results& results, const std::vector<WorkloadSpec>& spec) {
       {"benchmark", "native", "chrome", "firefox"}};
   for (const WorkloadSpec& s : spec) {
     table.push_back({s.name,
-                     StrFormat("%.6f", results.Get(s, CodegenOptions::NativeClang()).seconds),
-                     StrFormat("%.6f", results.Get(s, CodegenOptions::ChromeV8()).seconds),
-                     StrFormat("%.6f", results.Get(s, CodegenOptions::FirefoxSM()).seconds)});
+                     StrFormat("%.6f", Seconds(results.Get(s, CodegenOptions::NativeClang()))),
+                     StrFormat("%.6f", Seconds(results.Get(s, CodegenOptions::ChromeV8()))),
+                     StrFormat("%.6f", Seconds(results.Get(s, CodegenOptions::FirefoxSM())))});
   }
   Ratios ratios = VsNative(results, spec, Seconds);
   table.push_back({"slowdown: geomean", "-", StrFormat("%.2fx", GeoMean(ratios.chrome)),
@@ -398,12 +456,9 @@ void Table4(Results& results, const std::vector<WorkloadSpec>& spec,
   WriteBenchJson("table4_counter_geomeans", SuiteJson(results, spec, WasmVsNative()));
 }
 
-// Isolates each §6 root cause by toggling one codegen option at a time on
-// top of the native profile, on a mixed workload sample.
-void AblationCodegenCauses(Results& results) {
-  printf("== Ablation: per-cause contribution to the Wasm slowdown ==\n\n");
-  // Build the ladder: native -> +linear-scan -> +no-fusion -> +no-rotation ->
-  // +reserved regs/heap reg -> +checks (= chrome profile).
+// The §6 causes ladder: native -> +linear-scan -> +no-fusion ->
+// +no-rotation -> +reserved regs/heap reg -> +checks (= chrome profile).
+std::vector<CodegenOptions> CausesLadder() {
   std::vector<CodegenOptions> ladder;
   CodegenOptions base = CodegenOptions::NativeClang();
   base.profile_name = "native";
@@ -438,10 +493,21 @@ void AblationCodegenCauses(Results& results) {
   l5.indirect_check = true;
   l5.loop_entry_jump = true;
   ladder.push_back(l5);
+  return ladder;
+}
 
-  const std::vector<WorkloadSpec> sample = {PolybenchSpec("gemm"), MatmulSpec(64),
-                                            SpecWorkload("458.sjeng"),
-                                            SpecWorkload("473.astar"), SpecWorkload("444.namd")};
+// The mixed workload sample the causes ladder runs on.
+std::vector<WorkloadSpec> CausesSample() {
+  return {PolybenchSpec("gemm"), MatmulSpec(64), SpecWorkload("458.sjeng"),
+          SpecWorkload("473.astar"), SpecWorkload("444.namd")};
+}
+
+// Isolates each §6 root cause by toggling one codegen option at a time on
+// top of the native profile, on a mixed workload sample.
+void AblationCodegenCauses(Results& results) {
+  printf("== Ablation: per-cause contribution to the Wasm slowdown ==\n\n");
+  const std::vector<CodegenOptions> ladder = CausesLadder();
+  const std::vector<WorkloadSpec> sample = CausesSample();
 
   std::vector<std::vector<std::string>> table = {
       {"configuration", "geomean-vs-native", "instr-ratio", "load-ratio"}};
@@ -451,13 +517,13 @@ void AblationCodegenCauses(Results& results) {
     std::vector<double> ir;
     std::vector<double> lr;
     for (const WorkloadSpec& spec : sample) {
-      const RunResult& r = results.Get(spec, opts);
-      const RunResult& b = results.Get(spec, ladder.front());
-      sr.push_back(r.seconds / b.seconds);
-      ir.push_back(static_cast<double>(r.counters.instructions_retired) /
-                   static_cast<double>(b.counters.instructions_retired));
-      lr.push_back(static_cast<double>(r.counters.loads_retired) /
-                   static_cast<double>(b.counters.loads_retired));
+      const Run& r = results.Get(spec, opts);
+      const Run& b = results.Get(spec, ladder.front());
+      sr.push_back(r.outcome.seconds / b.outcome.seconds);
+      ir.push_back(static_cast<double>(r.outcome.counters.instructions_retired) /
+                   static_cast<double>(b.outcome.counters.instructions_retired));
+      lr.push_back(static_cast<double>(r.outcome.counters.loads_retired) /
+                   static_cast<double>(b.outcome.counters.loads_retired));
     }
     table.push_back({opts.profile_name, StrFormat("%.2fx", GeoMean(sr)),
                      StrFormat("%.2fx", GeoMean(ir)), StrFormat("%.2fx", GeoMean(lr))});
@@ -508,6 +574,23 @@ void AblationFsGrowth() {
   WriteBenchJson("ablation_fs_growth", json);
 }
 
+// The JIT profiles the PGO ablation tiers up.
+std::vector<CodegenOptions> PgoBases() {
+  return {CodegenOptions::ChromeV8(), CodegenOptions::FirefoxSM()};
+}
+
+// `base` tiered up with `spec`'s warm-up profile. The engine caches the
+// profile per workload, so only the first call for a workload runs the
+// warm-up.
+CodegenOptions Tiered(Results& results, const WorkloadSpec& spec, const CodegenOptions& base) {
+  std::string err;
+  CodegenOptions tiered = SharedEngine().TierUp(spec, base, &err);
+  if (!err.empty()) {
+    results.Fail(spec.name + " tier-up under " + base.profile_name + ": " + err);
+  }
+  return tiered;
+}
+
 // PolyBench under the two JIT profiles with and without the profile-guided
 // tier-up, driven through Engine::TierUp: a warm-up run under the
 // instrumented interpreter collects a Profile, and the workload is
@@ -516,8 +599,7 @@ void AblationFsGrowth() {
 // against the native reference, so a PGO miscompile fails the program.
 void AblationPgo(Results& results, const std::vector<WorkloadSpec>& polybench) {
   printf("== PGO ablation: PolyBench cycles, tier-up off vs on ==\n\n");
-  const std::vector<CodegenOptions> bases = {CodegenOptions::ChromeV8(),
-                                             CodegenOptions::FirefoxSM()};
+  const std::vector<CodegenOptions> bases = PgoBases();
   std::vector<std::vector<std::string>> table = {
       {"benchmark", "chrome", "chrome+pgo", "ratio", "firefox", "firefox+pgo", "ratio"}};
   std::map<std::string, std::vector<double>> cycle_ratios;   // base profile -> per-workload
@@ -527,18 +609,14 @@ void AblationPgo(Results& results, const std::vector<WorkloadSpec>& polybench) {
     std::vector<std::string> row = {spec.name};
     json += StrFormat("%s\"%s\":{", Sep(json), JsonEscape(spec.name).c_str());
     for (const CodegenOptions& base : bases) {
-      const RunResult& off = results.Get(spec, base);
-      std::string err;
-      CodegenOptions tiered = SharedEngine().TierUp(spec, base, &err);
-      if (!err.empty()) {
-        results.Fail(spec.name + " tier-up under " + base.profile_name + ": " + err);
-      }
-      const RunResult& on = results.Get(spec, tiered);
-      double off_c = static_cast<double>(off.counters.cycles());
-      double on_c = static_cast<double>(on.counters.cycles());
+      const Run& off = results.Get(spec, base);
+      const Run& on = results.Get(spec, Tiered(results, spec, base));
+      double off_c = static_cast<double>(off.outcome.counters.cycles());
+      double on_c = static_cast<double>(on.outcome.counters.cycles());
       cycle_ratios[base.profile_name].push_back(on_c / off_c);
-      icache_ratios[base.profile_name].push_back(static_cast<double>(on.counters.l1i_misses) /
-                                                 static_cast<double>(off.counters.l1i_misses));
+      icache_ratios[base.profile_name].push_back(
+          static_cast<double>(on.outcome.counters.l1i_misses) /
+          static_cast<double>(off.outcome.counters.l1i_misses));
       row.push_back(StrFormat("%.2fM", off_c / 1e6));
       row.push_back(StrFormat("%.2fM", on_c / 1e6));
       row.push_back(StrFormat("%.3fx", on_c / off_c));
@@ -584,9 +662,27 @@ void AblationPgo(Results& results, const std::vector<WorkloadSpec>& polybench) {
 }  // namespace
 
 int main() {
-  Results results;
   const std::vector<WorkloadSpec> polybench = AllPolybench();
   const std::vector<WorkloadSpec> spec = AllSpec();
+  Results results;
+  for (const WorkloadSpec& s : polybench) {
+    results.Add(s, WasmVsNative());
+    results.Add(s, ChromeEras());
+    for (const CodegenOptions& base : PgoBases()) {
+      results.Add(s, {Tiered(results, s, base)});
+    }
+  }
+  for (const WorkloadSpec& s : spec) {
+    results.Add(s, AsmJs());
+  }
+  for (int n : kMatmulSizes) {
+    results.Add(MatmulSpec(n), WasmVsNative());
+  }
+  for (const WorkloadSpec& s : CausesSample()) {
+    results.Add(s, CausesLadder());
+  }
+  results.RunAll();
+
   Fig01(results, polybench);
   Fig03a(results, polybench);
   Fig03b(results, spec);

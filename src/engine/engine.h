@@ -38,8 +38,8 @@
 // artifacts across processes; NSF_CACHE_MAX_BYTES bounds the directory with
 // LRU eviction.
 //
-// For parallel batch execution over a pool of Sessions, see
-// src/engine/executor.h (ExecutorPool / Session::RunBatch).
+// For batch execution over a pool of Sessions, see src/engine/executor.h
+// (ExecutorPool).
 #ifndef SRC_ENGINE_ENGINE_H_
 #define SRC_ENGINE_ENGINE_H_
 
@@ -518,8 +518,7 @@ struct InstanceOptions {
   SimDispatch dispatch = SimDispatch::kPredecoded;
 };
 
-// One run's observable result (the harness layers validation and statistics
-// on top of this).
+// One run's observable result.
 struct RunOutcome {
   bool ok = false;
   std::string error;
@@ -532,8 +531,6 @@ struct RunOutcome {
 };
 
 class Instance;
-struct RunRequest;
-struct BatchReport;
 
 // One Browsix kernel + VFS. Instances created from the same Session share
 // the filesystem; Reset() replaces the kernel so no staged file survives.
@@ -565,11 +562,6 @@ class Session {
   std::unique_ptr<Instance> Instantiate(CompiledModuleRef code,
                                         InstanceOptions options = InstanceOptions(),
                                         std::string* error = nullptr);
-
-  // Executes `requests` on THIS session, serially, with Reset() isolation
-  // between runs, and aggregates per-run counters into a BatchReport — the
-  // single-worker degenerate case of ExecutorPool::Run (src/engine/executor.h).
-  BatchReport RunBatch(const std::vector<RunRequest>& requests);
 
   Engine* engine() { return engine_; }
 

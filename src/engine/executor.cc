@@ -26,13 +26,10 @@ namespace {
 // exactly once on EVERY path — compile errors, instantiate failures, and
 // traps used to vanish from the executor.request_ns histogram entirely,
 // biasing its percentiles toward the (typically faster) successes.
-void ExecuteRequestBody(Session* session, const RunRequest& request, BatchRunResult* r,
-                        bool reset_first) {
+void ExecuteRequestBody(Session* session, const RunRequest& request, BatchRunResult* r) {
   // Isolation: every run starts from a fresh kernel + VFS, so nothing staged
   // by a previous run on this worker is visible.
-  if (reset_first) {
-    session->Reset();
-  }
+  session->Reset();
 
   CompileInfo cinfo;
   CompiledModuleRef code =
@@ -81,8 +78,7 @@ void ExecuteRequestBody(Session* session, const RunRequest& request, BatchRunRes
 }  // namespace
 
 BatchRunResult ExecuteRequest(Session* session, const RunRequest& request,
-                              size_t request_index, int rep, int worker,
-                              bool reset_first) {
+                              size_t request_index, int rep, int worker) {
   BatchRunResult r;
   r.request_index = request_index;
   r.rep = rep;
@@ -93,7 +89,7 @@ BatchRunResult ExecuteRequest(Session* session, const RunRequest& request,
     span.arg("rep", rep);
   }
   auto t0 = std::chrono::steady_clock::now();
-  ExecuteRequestBody(session, request, &r, reset_first);
+  ExecuteRequestBody(session, request, &r);
   r.wall_seconds = SecondsSince(t0);
 
   // Request latency, tagged by outcome: executor.request_ns holds every
@@ -141,26 +137,6 @@ void FinalizeBatchReport(BatchReport* report) {
   for (double s : report->worker_sim_seconds) {
     report->sim_makespan_seconds = std::max(report->sim_makespan_seconds, s);
   }
-}
-
-// --- Session::RunBatch (declared in engine.h) ---
-
-BatchReport Session::RunBatch(const std::vector<RunRequest>& requests) {
-  telemetry::Span span("batch", "executor");
-  span.arg("requests", static_cast<uint64_t>(requests.size()));
-  BatchReport report;
-  report.workers = 1;
-  report.schedule = SchedulePolicy::kFifo;  // serial: order is the schedule
-  auto t0 = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < requests.size(); i++) {
-    for (int rep = 0; rep < requests[i].reps; rep++) {
-      report.runs.push_back(ExecuteRequest(this, requests[i], i, rep, 0));
-    }
-  }
-  report.wall_seconds = SecondsSince(t0);
-  report.stats_after = engine_->Stats();
-  FinalizeBatchReport(&report);
-  return report;
 }
 
 // --- ExecutorPool ---

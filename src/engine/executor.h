@@ -113,13 +113,11 @@ struct BatchReport {
 
 // Executes one request-rep on `session`: Reset() for isolation, stage the
 // workload's inputs, compile-or-fetch through the session's engine,
-// instantiate, run, and optionally read the output files back. Shared by
-// Session::RunBatch (serial) and ExecutorPool (parallel). Pass
-// reset_first=false only when `session` is freshly constructed (its kernel
-// is already pristine, so the Reset would just rebuild it).
+// instantiate, run, and optionally read the output files back. ExecutorPool
+// and ServingLoop workers call it per job; a caller with one Session may call
+// it directly.
 BatchRunResult ExecuteRequest(Session* session, const RunRequest& request,
-                              size_t request_index, int rep, int worker,
-                              bool reset_first = true);
+                              size_t request_index, int rep, int worker);
 
 // Fixed-size worker pool over one Engine. Construction spawns the workers;
 // each builds its Session on its own thread and keeps it across batches.

@@ -1,7 +1,6 @@
 // WorkloadSpec: how to build a benchmark program's module, stage its input
 // files, and which output files constitute its result. This is the unit the
-// Engine compiles and a Session runs; it lives below both the harness (which
-// adds statistics/validation) and the tiering layer (which profiles it).
+// Engine compiles, a Session runs and the tiering layer profiles.
 #ifndef SRC_ENGINE_WORKLOAD_H_
 #define SRC_ENGINE_WORKLOAD_H_
 

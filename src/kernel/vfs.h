@@ -69,7 +69,8 @@ class MemFs {
   // Lists a directory's entry names (sorted).
   std::vector<std::string> List(uint32_t dir_inode) const;
 
-  // Convenience helpers used by tests/harness.
+  // Whole-file helpers: tests stage inputs and ExecuteRequest reads outputs
+  // back with them.
   bool WriteFile(const std::string& path, const std::string& contents);
   bool WriteFile(const std::string& path, const std::vector<uint8_t>& contents);
   bool ReadFile(const std::string& path, std::vector<uint8_t>* out) const;

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/harness/harness.h"
+#include "src/engine/workload.h"
 
 namespace nsf {
 

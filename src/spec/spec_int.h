@@ -2,7 +2,7 @@
 #ifndef SRC_SPEC_SPEC_INT_H_
 #define SRC_SPEC_SPEC_INT_H_
 
-#include "src/harness/harness.h"
+#include "src/engine/workload.h"
 
 namespace nsf {
 

@@ -80,6 +80,17 @@ void WriteBytes(std::vector<uint8_t>& out, const std::vector<uint8_t>& bytes) {
   out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
+namespace {
+
+// Whether the bits of a signed LEB128's last allowed byte under `mask`, its
+// sign bit and the bits beyond the type's width, all agree: anything else is
+// a malformed encoding.
+bool SignExtends(uint8_t byte, uint8_t mask) {
+  return (byte & mask) == 0 || (byte & mask) == mask;
+}
+
+}  // namespace
+
 uint8_t ByteReader::PeekByte() {
   if (pos_ >= size_) {
     Fail();
@@ -120,6 +131,10 @@ uint64_t ByteReader::ReadVarU64() {
     }
     result |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
+      // Reject non-canonical bits beyond 64.
+      if (i == 9 && (byte & 0x7e) != 0) {
+        Fail();
+      }
       return result;
     }
     shift += 7;
@@ -139,6 +154,9 @@ int32_t ByteReader::ReadVarS32Slow() {
     result |= static_cast<int32_t>(static_cast<uint32_t>(byte & 0x7f) << shift);
     shift += 7;
     if ((byte & 0x80) == 0) {
+      if (i == 4 && !SignExtends(byte, 0x78)) {
+        Fail();
+      }
       if (shift < 32 && (byte & 0x40) != 0) {
         result |= static_cast<int32_t>(~0u << shift);
       }
@@ -160,6 +178,9 @@ int64_t ByteReader::ReadVarS64Slow() {
     result |= static_cast<int64_t>(static_cast<uint64_t>(byte & 0x7f) << shift);
     shift += 7;
     if ((byte & 0x80) == 0) {
+      if (i == 9 && !SignExtends(byte, 0x7f)) {
+        Fail();
+      }
       if (shift < 64 && (byte & 0x40) != 0) {
         result |= static_cast<int64_t>(~uint64_t{0} << shift);
       }
@@ -181,6 +202,9 @@ int64_t ByteReader::ReadVarS33() {
     result |= static_cast<int64_t>(static_cast<uint64_t>(byte & 0x7f) << shift);
     shift += 7;
     if ((byte & 0x80) == 0) {
+      if (i == 4 && !SignExtends(byte, 0x70)) {
+        Fail();
+      }
       if (shift < 64 && (byte & 0x40) != 0) {
         result |= static_cast<int64_t>(~uint64_t{0} << shift);
       }

@@ -1,5 +1,5 @@
-// Deterministic pseudo-random number generation used by workload generators
-// and the harness jitter model. All randomness in this repository flows
+// Deterministic pseudo-random number generation used by workload
+// generators. All randomness in this repository flows
 // through SplitMix64/Xoshiro so results are reproducible across platforms.
 #ifndef SRC_SUPPORT_RNG_H_
 #define SRC_SUPPORT_RNG_H_

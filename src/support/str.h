@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace nsf {
@@ -25,6 +26,16 @@ bool EndsWith(const std::string& s, const std::string& suffix);
 // output validation.
 uint64_t Fnv1a(const uint8_t* data, size_t size);
 uint64_t Fnv1a(const std::string& s);
+
+double GeoMean(const std::vector<double>& xs);
+double Median(std::vector<double> xs);
+
+// Renders an aligned ASCII table; row 0 is the header.
+std::string RenderTable(const std::vector<std::vector<std::string>>& rows);
+
+// Renders a horizontal ASCII bar chart: one row per (label, value).
+std::string RenderBars(const std::vector<std::pair<std::string, double>>& data, double unit_value,
+                       const std::string& unit_label, int width = 48);
 
 }  // namespace nsf
 

@@ -573,7 +573,7 @@ TEST(ExecutorPool, BatchReportAggregatesCountersAndSchedule) {
   EXPECT_EQ(delta.cache_hits + delta.cache_misses, 6u);
 }
 
-TEST(Session, RunBatchSerialMatchesPoolSemantics) {
+TEST(ExecutorPool, OneWorkerRunsTheBatchSerially) {
   engine::Engine eng;
   engine::RunRequest writer;
   writer.spec = SpecOf("writer", [] { return WriterModule("serial"); });
@@ -584,8 +584,7 @@ TEST(Session, RunBatchSerialMatchesPoolSemantics) {
   reader.options = CodegenOptions::ChromeV8();
   reader.reps = 2;
 
-  engine::Session session(&eng);
-  engine::BatchReport report = session.RunBatch({writer, reader});
+  engine::BatchReport report = engine::ExecutorPool(&eng, 1).Run({writer, reader});
   ASSERT_TRUE(report.all_ok());
   EXPECT_EQ(report.workers, 1);
   ASSERT_EQ(report.runs.size(), 4u);
@@ -598,9 +597,6 @@ TEST(Session, RunBatchSerialMatchesPoolSemantics) {
       EXPECT_EQ(static_cast<int32_t>(run.outcome.exit_code), -1);
     }
   }
-  // RunBatch's Reset() also dropped anything staged before the batch.
-  std::vector<uint8_t> bytes;
-  EXPECT_FALSE(session.fs().ReadFile("/msg.txt", &bytes));
 }
 
 }  // namespace

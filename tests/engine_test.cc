@@ -911,7 +911,6 @@ TEST(BatchReport, MixedBatchSplitsFailedSimTimeAndRecordsFailedLatency) {
   uint64_t failed_before = failed_ns->count();
 
   engine::Engine eng;
-  engine::Session session(&eng);
   engine::RunRequest good;
   good.spec.name = "report_ok";
   good.spec.build = [] { return CountModule(1000); };
@@ -920,7 +919,7 @@ TEST(BatchReport, MixedBatchSplitsFailedSimTimeAndRecordsFailedLatency) {
   bad.spec.name = "report_trap";
   bad.spec.build = [] { return DivByZeroModule(); };
   bad.collect_outputs = false;
-  engine::BatchReport report = session.RunBatch({good, bad});
+  engine::BatchReport report = engine::ExecutorPool(&eng, 1).Run({good, bad});
 
   ASSERT_EQ(report.runs.size(), 2u);
   EXPECT_TRUE(report.runs[0].ok) << report.runs[0].error;
@@ -955,8 +954,25 @@ TEST(RunHistory, ExplicitFlushPersistsWithoutDestruction) {
   EXPECT_DOUBLE_EQ(fresh.ObservedSeconds("lu"), 1.0);
 }
 
+TEST(ExecuteRequest, CountersPopulated) {
+  engine::Engine eng;
+  engine::Session session(&eng);
+  engine::BatchRunResult r = engine::ExecuteRequest(
+      &session, {PolybenchSpec("gemm"), CodegenOptions::ChromeV8()}, 0, 0, 0);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_GT(r.outcome.counters.instructions_retired, 0u);
+  EXPECT_GT(r.outcome.counters.cycles(), 0u);
+  EXPECT_GT(r.outcome.counters.loads_retired, 0u);
+  EXPECT_GT(r.outcome.counters.stores_retired, 0u);
+  EXPECT_GT(r.outcome.counters.branches_retired, 0u);
+  EXPECT_GT(r.outcome.counters.cond_branches_retired, 0u);
+  EXPECT_GT(r.outcome.seconds, 0.0);
+  EXPECT_GT(r.compile.minstrs, 0u);
+  EXPECT_GT(r.compile.code_bytes, 0u);
+}
+
 TEST(Engine, PolybenchWorkloadEndToEnd) {
-  // The harness path, hand-rolled at the embedder level: compile a real
+  // ExecuteRequest's path, hand-rolled at the embedder level: compile a real
   // workload once, instantiate in a session, run, inspect outputs.
   engine::Engine eng;
   WorkloadSpec spec = PolybenchSpec("trisolv");

@@ -98,9 +98,66 @@ TEST(Leb128, OverlongU32Fails) {
 TEST(Leb128, NonCanonicalHighBitsRejected) {
   // Final byte carries bits beyond bit 31.
   std::vector<uint8_t> buf = {0x80, 0x80, 0x80, 0x80, 0x70};
-  ByteReader r(buf);
-  r.ReadVarU32();
-  EXPECT_FALSE(r.ok());
+  {
+    ByteReader r(buf);
+    r.ReadVarU32();
+    EXPECT_FALSE(r.ok());
+  }
+
+  // The last allowed byte's bits beyond the type's width must be zero
+  // (unsigned) or copies of the sign bit (signed).
+  std::vector<uint8_t> u64(9, 0x80);
+  u64.push_back(0x7f);
+  std::vector<uint8_t> s64(9, 0x80);
+  s64.push_back(0x3e);
+  const std::vector<uint8_t> s33 = {0x80, 0x80, 0x80, 0x80, 0x20};
+  {
+    ByteReader r(buf);
+    r.ReadVarS32();
+    EXPECT_FALSE(r.ok());
+  }
+  {
+    ByteReader r(s33);
+    r.ReadVarS33();
+    EXPECT_FALSE(r.ok());
+  }
+  {
+    ByteReader r(u64);
+    r.ReadVarU64();
+    EXPECT_FALSE(r.ok());
+  }
+  {
+    ByteReader r(s64);
+    r.ReadVarS64();
+    EXPECT_FALSE(r.ok());
+  }
+
+  // The canonical encodings at each type's limit still decode.
+  const std::vector<uint8_t> s32_min = {0x80, 0x80, 0x80, 0x80, 0x78};
+  std::vector<uint8_t> s64_min(9, 0x80);
+  s64_min.push_back(0x7f);
+  std::vector<uint8_t> u64_max(9, 0xff);
+  u64_max.push_back(0x01);
+  {
+    ByteReader r(s32_min);
+    EXPECT_EQ(r.ReadVarS32(), std::numeric_limits<int32_t>::min());
+    EXPECT_TRUE(r.ok());
+  }
+  {
+    ByteReader r(buf);  // s33 -2^32
+    EXPECT_EQ(r.ReadVarS33(), -(int64_t{1} << 32));
+    EXPECT_TRUE(r.ok());
+  }
+  {
+    ByteReader r(s64_min);
+    EXPECT_EQ(r.ReadVarS64(), std::numeric_limits<int64_t>::min());
+    EXPECT_TRUE(r.ok());
+  }
+  {
+    ByteReader r(u64_max);
+    EXPECT_EQ(r.ReadVarU64(), std::numeric_limits<uint64_t>::max());
+    EXPECT_TRUE(r.ok());
+  }
 }
 
 TEST(Leb128, EveryOneByteEncodingDecodesInPlace) {

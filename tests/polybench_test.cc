@@ -8,22 +8,30 @@
 
 #include <cmath>
 
-#include "src/harness/harness.h"
+#include "src/engine/executor.h"
 #include "src/support/str.h"
 
 namespace nsf {
 namespace {
 
+// One run of `spec` under `options` on a fresh engine, outputs read back.
+engine::BatchRunResult RunOnce(const WorkloadSpec& spec, const CodegenOptions& options) {
+  engine::Engine eng;
+  engine::Session session(&eng);
+  return engine::ExecuteRequest(&session, {spec, options}, 0, 0, 0);
+}
+
 class PolybenchTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PolybenchTest, ValidatesAcrossProfiles) {
-  BenchHarness harness;
   WorkloadSpec spec = PolybenchSpec(GetParam());
+  engine::BatchRunResult reference = RunOnce(spec, CodegenOptions::NativeClang());
+  ASSERT_TRUE(reference.ok) << spec.name << ": " << reference.error;
   for (const auto& opts : {CodegenOptions::ChromeV8(), CodegenOptions::FirefoxSM()}) {
-    RunResult r = harness.MeasureValidated(spec, opts);
+    engine::BatchRunResult r = RunOnce(spec, opts);
     ASSERT_TRUE(r.ok) << spec.name << " under " << opts.profile_name << ": " << r.error;
-    EXPECT_TRUE(r.validated) << spec.name << " under " << opts.profile_name;
-    EXPECT_GT(r.counters.instructions_retired, 1000u);
+    EXPECT_EQ(r.outputs, reference.outputs) << spec.name << " under " << opts.profile_name;
+    EXPECT_GT(r.outcome.counters.instructions_retired, 1000u);
   }
 }
 
@@ -84,8 +92,7 @@ TEST(PolybenchReference, GemmChecksumMatchesCpp) {
   for (double v : C) {
     sum += v;
   }
-  BenchHarness harness;
-  RunResult r = harness.Measure(PolybenchSpec("gemm"), CodegenOptions::NativeClang());
+  engine::BatchRunResult r = RunOnce(PolybenchSpec("gemm"), CodegenOptions::NativeClang());
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(std::string(r.outputs[0].second.begin(), r.outputs[0].second.end()),
             FormatChecksum(sum));
@@ -114,8 +121,7 @@ TEST(PolybenchReference, TrisolvChecksumMatchesCpp) {
   for (double v : x) {
     sum += v;
   }
-  BenchHarness harness;
-  RunResult r = harness.Measure(PolybenchSpec("trisolv"), CodegenOptions::NativeClang());
+  engine::BatchRunResult r = RunOnce(PolybenchSpec("trisolv"), CodegenOptions::NativeClang());
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(std::string(r.outputs[0].second.begin(), r.outputs[0].second.end()),
             FormatChecksum(sum));
@@ -151,8 +157,7 @@ TEST(PolybenchReference, MvtChecksumMatchesCpp) {
   for (int i = 0; i < n; i++) {
     sum += x1[i] + x2[i];
   }
-  BenchHarness harness;
-  RunResult r = harness.Measure(PolybenchSpec("mvt"), CodegenOptions::NativeClang());
+  engine::BatchRunResult r = RunOnce(PolybenchSpec("mvt"), CodegenOptions::NativeClang());
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(std::string(r.outputs[0].second.begin(), r.outputs[0].second.end()),
             FormatChecksum(sum));
@@ -180,25 +185,23 @@ TEST(Matmul, ChecksumMatchesCpp) {
   for (int64_t v : C) {
     sum += static_cast<int32_t>(v);
   }
-  BenchHarness harness;
-  RunResult r = harness.Measure(MatmulSpec(n), CodegenOptions::NativeClang());
+  engine::BatchRunResult r = RunOnce(MatmulSpec(n), CodegenOptions::NativeClang());
   ASSERT_TRUE(r.ok) << r.error;
   std::string out(r.outputs[0].second.begin(), r.outputs[0].second.end());
   EXPECT_EQ(out, StrFormat("%d\n0.0000\n", sum));
   // And the JIT profiles agree.
-  RunResult rc = harness.MeasureValidated(MatmulSpec(n), CodegenOptions::ChromeV8());
+  engine::BatchRunResult rc = RunOnce(MatmulSpec(n), CodegenOptions::ChromeV8());
   ASSERT_TRUE(rc.ok) << rc.error;
-  EXPECT_TRUE(rc.validated);
+  EXPECT_EQ(rc.outputs, r.outputs);
 }
 
 TEST(Matmul, JitSlowdownInExpectedBand) {
   // Figure 8's claim at small sizes: Wasm 2.0-3.4x slower than native for
   // matmul. Our band is looser but must show a clear slowdown.
-  BenchHarness harness;
-  RunResult native = harness.Measure(MatmulSpec(48), CodegenOptions::NativeClang());
-  RunResult chrome = harness.Measure(MatmulSpec(48), CodegenOptions::ChromeV8());
+  engine::BatchRunResult native = RunOnce(MatmulSpec(48), CodegenOptions::NativeClang());
+  engine::BatchRunResult chrome = RunOnce(MatmulSpec(48), CodegenOptions::ChromeV8());
   ASSERT_TRUE(native.ok && chrome.ok);
-  double ratio = chrome.seconds / native.seconds;
+  double ratio = chrome.outcome.seconds / native.outcome.seconds;
   EXPECT_GT(ratio, 1.2) << "chrome should be clearly slower on matmul";
   EXPECT_LT(ratio, 5.0);
 }

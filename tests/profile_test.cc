@@ -13,7 +13,7 @@
 #include "src/codegen/codegen.h"
 #include "src/codegen/opt.h"
 #include "src/engine/engine.h"
-#include "src/harness/harness.h"
+#include "src/engine/executor.h"
 #include "src/interp/interp.h"
 #include "src/polybench/polybench.h"
 #include "src/wasm/validator.h"
@@ -357,26 +357,30 @@ TEST(TierUpTest, SetsFlagsAndCachesOneProfilePerName) {
 TEST(TierUpTest, TieredRunValidatesAndDoesNotRegress) {
   // The warm-up profile is engine-owned, so the tiered options outlive this
   // scope safely.
-  BenchHarness harness;
+  engine::Engine eng;
+  engine::Session session(&eng);
   WorkloadSpec spec = PolybenchSpec("gemm");
   CodegenOptions base = CodegenOptions::ChromeV8();
-  RunResult off = harness.MeasureValidated(spec, base);
+  engine::BatchRunResult reference =
+      engine::ExecuteRequest(&session, {spec, CodegenOptions::NativeClang()}, 0, 0, 0);
+  ASSERT_TRUE(reference.ok) << reference.error;
+  engine::BatchRunResult off = engine::ExecuteRequest(&session, {spec, base}, 0, 0, 0);
   ASSERT_TRUE(off.ok) << off.error;
-  ASSERT_TRUE(off.validated);
+  ASSERT_EQ(off.outputs, reference.outputs);
   std::string error;
-  CodegenOptions tiered = harness.engine().TierUp(spec, base, &error);
+  CodegenOptions tiered = eng.TierUp(spec, base, &error);
   ASSERT_TRUE(error.empty()) << error;
-  EXPECT_EQ(harness.engine().Stats().tier_warmups, 1u);
-  RunResult on = harness.MeasureValidated(spec, tiered);
+  EXPECT_EQ(eng.Stats().tier_warmups, 1u);
+  engine::BatchRunResult on = engine::ExecuteRequest(&session, {spec, tiered}, 0, 0, 0);
   ASSERT_TRUE(on.ok) << on.error;
-  ASSERT_TRUE(on.validated);
-  EXPECT_LE(on.counters.cycles(), off.counters.cycles());
-  // The tiered recompile is itself cached: measuring again recompiles nothing.
-  uint64_t compiles = harness.engine().Stats().compiles;
-  RunResult again = harness.MeasureValidated(spec, tiered);
+  ASSERT_EQ(on.outputs, reference.outputs);
+  EXPECT_LE(on.outcome.counters.cycles(), off.outcome.counters.cycles());
+  // The tiered recompile is itself cached: running again recompiles nothing.
+  uint64_t compiles = eng.Stats().compiles;
+  engine::BatchRunResult again = engine::ExecuteRequest(&session, {spec, tiered}, 0, 0, 0);
   ASSERT_TRUE(again.ok);
   EXPECT_TRUE(again.cache_hit);
-  EXPECT_EQ(harness.engine().Stats().compiles, compiles);
+  EXPECT_EQ(eng.Stats().compiles, compiles);
 }
 
 }  // namespace

@@ -4,31 +4,39 @@
 
 #include <gtest/gtest.h>
 
-#include "src/harness/harness.h"
+#include "src/engine/executor.h"
+#include "src/support/str.h"
 
 namespace nsf {
 namespace {
 
+// One run of `spec` under `options` on a fresh engine, outputs read back.
+engine::BatchRunResult RunOnce(const WorkloadSpec& spec, const CodegenOptions& options) {
+  engine::Engine eng;
+  engine::Session session(&eng);
+  return engine::ExecuteRequest(&session, {spec, options}, 0, 0, 0);
+}
+
 class SpecTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SpecTest, ValidatesAcrossProfiles) {
-  BenchHarness harness;
   WorkloadSpec spec = SpecWorkload(GetParam());
   ASSERT_TRUE(static_cast<bool>(spec.build)) << "unknown workload";
+  engine::BatchRunResult reference = RunOnce(spec, CodegenOptions::NativeClang());
+  ASSERT_TRUE(reference.ok) << spec.name << ": " << reference.error;
   for (const auto& opts : {CodegenOptions::ChromeV8(), CodegenOptions::FirefoxSM()}) {
-    RunResult r = harness.MeasureValidated(spec, opts);
+    engine::BatchRunResult r = RunOnce(spec, opts);
     ASSERT_TRUE(r.ok) << spec.name << " under " << opts.profile_name << ": " << r.error;
-    EXPECT_TRUE(r.validated) << spec.name << " under " << opts.profile_name;
+    EXPECT_EQ(r.outputs, reference.outputs) << spec.name << " under " << opts.profile_name;
     // Must be a real workload (not an empty stub) and exercise syscalls.
-    EXPECT_GT(r.counters.instructions_retired, 100000u) << spec.name;
-    EXPECT_GT(r.syscalls, 0u) << spec.name;
+    EXPECT_GT(r.outcome.counters.instructions_retired, 100000u) << spec.name;
+    EXPECT_GT(r.outcome.syscalls, 0u) << spec.name;
   }
 }
 
 TEST_P(SpecTest, NativeOutputNonTrivial) {
-  BenchHarness harness;
   WorkloadSpec spec = SpecWorkload(GetParam());
-  RunResult r = harness.Measure(spec, CodegenOptions::NativeClang());
+  engine::BatchRunResult r = RunOnce(spec, CodegenOptions::NativeClang());
   ASSERT_TRUE(r.ok) << spec.name << ": " << r.error;
   ASSERT_FALSE(r.outputs.empty());
   EXPECT_FALSE(r.outputs[0].second.empty()) << spec.name << " produced no output";
@@ -47,15 +55,14 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, SpecTest, ::testing::ValuesIn(SpecWorkloa
 
 TEST(SpecSuite, JitSlowerInAggregate) {
   // The paper's headline: Wasm runs slower than native on SPEC-class code.
-  BenchHarness harness;
   std::vector<double> ratios;
   for (const char* name : {"429.mcf", "458.sjeng", "444.namd"}) {
     WorkloadSpec spec = SpecWorkload(name);
-    RunResult native = harness.Measure(spec, CodegenOptions::NativeClang());
-    RunResult chrome = harness.Measure(spec, CodegenOptions::ChromeV8());
+    engine::BatchRunResult native = RunOnce(spec, CodegenOptions::NativeClang());
+    engine::BatchRunResult chrome = RunOnce(spec, CodegenOptions::ChromeV8());
     ASSERT_TRUE(native.ok) << name << ": " << native.error;
     ASSERT_TRUE(chrome.ok) << name << ": " << chrome.error;
-    ratios.push_back(chrome.seconds / native.seconds);
+    ratios.push_back(chrome.outcome.seconds / native.outcome.seconds);
   }
   EXPECT_GT(GeoMean(ratios), 1.1);
 }
