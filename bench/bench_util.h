@@ -79,7 +79,6 @@ inline std::string EngineStatsJson(const engine::EngineStats& s) {
       "\"compile_seconds_saved\":%.6f,"
       "\"disk_hits\":%llu,\"disk_misses\":%llu,\"disk_evictions\":%llu,"
       "\"disk_load_failures\":%llu,\"disk_stores\":%llu,"
-      "\"disk_lease_waits\":%llu,\"disk_lease_takeovers\":%llu,"
       "\"deserialize_seconds\":%.6f,\"serialize_seconds\":%.6f,"
       "\"verify_rejects\":%llu,"
       "\"tier_swaps\":%llu,\"background_recompiles\":%llu}",
@@ -93,9 +92,7 @@ inline std::string EngineStatsJson(const engine::EngineStats& s) {
       static_cast<unsigned long long>(s.disk_misses),
       static_cast<unsigned long long>(s.disk_evictions),
       static_cast<unsigned long long>(s.disk_load_failures),
-      static_cast<unsigned long long>(s.disk_stores),
-      static_cast<unsigned long long>(s.disk_lease_waits),
-      static_cast<unsigned long long>(s.disk_lease_takeovers), s.deserialize_seconds,
+      static_cast<unsigned long long>(s.disk_stores), s.deserialize_seconds,
       s.serialize_seconds, static_cast<unsigned long long>(s.verify_rejects),
       static_cast<unsigned long long>(s.tier_swaps),
       static_cast<unsigned long long>(s.background_recompiles));
@@ -127,17 +124,15 @@ inline std::string HostJson() {
 inline std::string TelemetryJson() { return telemetry::MetricsRegistry::Global().DumpJson(); }
 
 // Writes BENCH_<name>.json in the working directory. `json` must be a JSON
-// object; the engine's stats (shared engine by default) are injected as its
-// engine_stats key so every bench JSON reports cache hits/misses and compile
-// seconds saved, the metrics registry as its telemetry key (latency
-// percentiles for compile/run/disk paths), and HostJson() as its host key.
-inline bool WriteBenchJson(const std::string& bench_name, const std::string& json,
-                           const engine::Engine* eng = nullptr) {
+// object; the shared engine's stats are injected as its engine_stats key so
+// every bench JSON reports cache hits/misses and compile seconds saved, the
+// metrics registry as its telemetry key (latency percentiles for
+// compile/run/disk paths), and HostJson() as its host key.
+inline bool WriteBenchJson(const std::string& bench_name, const std::string& json) {
   std::string payload = json;
   if (!payload.empty() && payload.front() == '{') {
-    std::string stats =
-        "\"engine_stats\":" + EngineStatsJson((eng != nullptr ? *eng : SharedEngine()).Stats()) +
-        ",\"telemetry\":" + TelemetryJson() + ",\"host\":" + HostJson();
+    std::string stats = "\"engine_stats\":" + EngineStatsJson(SharedEngine().Stats()) +
+                        ",\"telemetry\":" + TelemetryJson() + ",\"host\":" + HostJson();
     bool empty_object = payload.find_first_not_of(" \t\n", 1) == payload.find('}');
     payload = "{" + stats + (empty_object ? "" : ",") + payload.substr(1);
   }

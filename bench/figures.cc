@@ -398,14 +398,10 @@ void Table1(Results& results, const std::vector<WorkloadSpec>& spec) {
 }
 
 // Compile times of the offline (clang-like) backend vs the JIT (Chrome-like)
-// backend. A cache-disabled engine makes every repetition reach the backend,
-// so Table 2 shares no run with the other figures.
-void Table2(const std::vector<WorkloadSpec>& spec) {
+// backend. Every repetition calls the backend directly, so Table 2 shares no
+// run with the other figures and no engine cache can serve it.
+void Table2(Results& results, const std::vector<WorkloadSpec>& spec) {
   printf("== Table 2: compile times (seconds, this machine) ==\n\n");
-  engine::EngineConfig config;
-  config.cache_enabled = false;
-  config.cache_dir = "";
-  engine::Engine compile_engine(config);
   std::vector<std::vector<std::string>> table = {
       {"benchmark", "native-clang", "chrome-v8", "ratio"}};
   std::string json = "{\"workloads\":{";
@@ -414,11 +410,14 @@ void Table2(const std::vector<WorkloadSpec>& spec) {
   for (const WorkloadSpec& s : spec) {
     Module m = s.build();
     // Median of 3 compiles for stability.
-    auto time_compile = [&m, &compile_engine](const CodegenOptions& opts) {
+    auto time_compile = [&](const CodegenOptions& opts) {
       std::vector<double> samples;
       for (int i = 0; i < 3; i++) {
-        engine::CompiledModuleRef r = compile_engine.Compile(m, opts);
-        samples.push_back(r->stats().seconds);
+        CompileResult r = CompileModule(m, opts);
+        if (!r.ok) {
+          results.Fail(s.name + " under " + opts.profile_name + ": " + r.error);
+        }
+        samples.push_back(r.stats.seconds);
       }
       return Median(samples);
     };
@@ -437,7 +436,7 @@ void Table2(const std::vector<WorkloadSpec>& spec) {
   printf("%s\n", RenderTable(table).c_str());
   printf("Paper (Table 2): Clang is order(s)-of-magnitude slower to compile than the\n");
   printf("engine's JIT; compile time is negligible vs execution time in both cases.\n");
-  WriteBenchJson("table2_compile_times", json, &compile_engine);
+  WriteBenchJson("table2_compile_times", json);
 }
 
 // The geomeans of Fig 9's and Fig 10's per-workload ratios.
@@ -697,7 +696,7 @@ int main() {
   Fig09(results, spec, counter_ratios);
   Fig10(results, spec, counter_ratios);
   Table1(results, spec);
-  Table2(spec);
+  Table2(results, spec);
   Table4(results, spec, counter_ratios);
   AblationCodegenCauses(results);
   AblationFsGrowth();

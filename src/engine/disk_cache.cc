@@ -1,6 +1,5 @@
 #include "src/engine/disk_cache.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,7 +8,6 @@
 #include <filesystem>
 #include <string>
 #include <system_error>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,16 +26,14 @@ namespace {
 
 constexpr const char* kFilePrefix = "nsfa-";
 constexpr const char* kFileSuffix = ".bin";
-constexpr const char* kLockSuffix = ".bin.lock";
-// Orphaned .tmp and .lock files (a writer died between write and rename, or
-// a lease holder crashed) older than this are reclaimed by the next
-// directory walk; younger ones may still be in flight and are left alone.
+// Orphaned .tmp files (a writer died between write and rename) older than
+// this are reclaimed by the next directory walk; younger ones may still be
+// in flight and are left alone.
 constexpr auto kStaleOrphanAge = std::chrono::minutes(10);
 
 // A published artifact file: "nsfa-<key>.bin" exactly — not an in-flight or
-// orphaned "nsfa-<key>.bin.tmp.<pid>.<N>" or a ".bin.lock" lease. The single
-// filter the directory walk uses, so the enforced bound and DirSizeBytes()
-// always agree.
+// orphaned "nsfa-<key>.bin.tmp.<pid>.<N>". The single filter the directory
+// walk uses, so the enforced bound and DirSizeBytes() always agree.
 bool IsArtifactFile(const std::string& name) {
   return name.rfind(kFilePrefix, 0) == 0 && name.size() >= 4 &&
          name.compare(name.size() - 4, 4, kFileSuffix) == 0;
@@ -45,11 +41,6 @@ bool IsArtifactFile(const std::string& name) {
 
 bool IsTmpFile(const std::string& name) {
   return name.find(".tmp.") != std::string::npos;
-}
-
-bool IsLockFile(const std::string& name) {
-  return name.rfind(kFilePrefix, 0) == 0 && name.size() >= 9 &&
-         name.compare(name.size() - 9, 9, kLockSuffix) == 0;
 }
 
 std::string FileNameForKey(uint64_t module_hash, uint64_t fingerprint) {
@@ -139,17 +130,6 @@ std::string DiskCodeCache::PathForKey(uint64_t module_hash, uint64_t fingerprint
   return dir_ + "/" + FileNameForKey(module_hash, fingerprint);
 }
 
-std::string DiskCodeCache::LockPathForKey(uint64_t module_hash, uint64_t fingerprint) const {
-  return PathForKey(module_hash, fingerprint) + ".lock";
-}
-
-void DiskCodeCache::SetLeaseTimingForTest(uint64_t stale_age_ms, uint64_t poll_ms,
-                                          uint64_t wait_max_ms) {
-  lease_stale_age_ms_ = stale_age_ms;
-  lease_poll_ms_ = poll_ms;
-  lease_wait_max_ms_ = wait_max_ms;
-}
-
 // --- directory walk ------------------------------------------------------
 
 struct DiskCodeCache::ArtifactFile {
@@ -165,11 +145,9 @@ uint64_t DiskCodeCache::WalkLocked(std::vector<ArtifactFile>* files) const {
   for (const fs::directory_entry& entry : fs::directory_iterator(dir_, ec)) {
     std::string name = entry.path().filename().string();
     std::error_code stat_ec;
-    if (IsTmpFile(name) || IsLockFile(name)) {
-      // Reclaim orphans from writers/lease-holders that died mid-flight;
-      // recent ones may still be live and are left alone. (Live leases are
-      // far younger than this: BeginCompile presumes them stale after
-      // seconds, not minutes.)
+    if (IsTmpFile(name)) {
+      // Reclaim orphans from writers that died mid-flight; recent ones may
+      // still be live and are left alone.
       fs::file_time_type mtime = entry.last_write_time(stat_ec);
       if (!stat_ec && now - mtime > kStaleOrphanAge) {
         fs::remove(entry.path(), stat_ec);
@@ -384,93 +362,6 @@ void DiskCodeCache::EvictToFit() {
   }
 }
 
-// --- cross-process compile lease ------------------------------------------
-
-bool DiskCodeCache::Exists(uint64_t module_hash, uint64_t fingerprint) const {
-  if (!enabled()) {
-    return false;
-  }
-  std::error_code ec;
-  return fs::exists(PathForKey(module_hash, fingerprint), ec) && !ec;
-}
-
-bool DiskCodeCache::BeginCompile(uint64_t module_hash, uint64_t fingerprint) {
-  if (!enabled()) {
-    return true;
-  }
-  {
-    std::lock_guard<std::mutex> lock(dir_mu_);
-    if (!EnsureDirLocked()) {
-      return true;  // no shared directory, nothing to serialize against
-    }
-  }
-  const std::string lock_path = LockPathForKey(module_hash, fingerprint);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto stale_age = std::chrono::milliseconds(lease_stale_age_ms_);
-  const auto wait_max = std::chrono::milliseconds(lease_wait_max_ms_);
-  telemetry::Span span("disk.lease", "engine");
-  bool waited = false;
-  for (;;) {
-    // Exclusive create is the acquisition: exactly one process's open()
-    // succeeds for a given path. Contents are for humans inspecting the dir.
-    int fd = ::open(lock_path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd >= 0) {
-      std::string who = StrFormat("pid %d\n", static_cast<int>(::getpid()));
-      ssize_t ignored = ::write(fd, who.data(), who.size());
-      (void)ignored;
-      ::close(fd);
-      if (span.active()) {
-        span.arg("outcome", waited ? "acquired_after_wait" : "acquired");
-        span.arg("wait_ns", NanosSince(t0));
-      }
-      return true;
-    }
-    if (errno != EEXIST) {
-      // The filesystem won't give us a lease (permissions, read-only, ...).
-      // Compile without one — duplicated work, never incorrectness.
-      span.arg("outcome", "unavailable");
-      return true;
-    }
-    std::error_code ec;
-    fs::file_time_type mtime = fs::last_write_time(lock_path, ec);
-    if (ec) {
-      continue;  // vanished between open and stat: retry the create at once
-    }
-    bool stale = fs::file_time_type::clock::now() - mtime > stale_age;
-    bool timed_out = std::chrono::steady_clock::now() - t0 > wait_max;
-    if (stale || timed_out) {
-      // Presume the holder dead (stale) or wedged (timeout backstop): take
-      // the lease over by force. If the removal races another waiter's, the
-      // loop just re-contends the create.
-      fs::remove(lock_path, ec);
-      lease_takeovers_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (!waited) {
-      waited = true;
-      lease_waits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(lease_poll_ms_));
-    if (!fs::exists(lock_path, ec) && !ec) {
-      // The holder released: its artifact should be on disk now. Don't
-      // acquire — report "lost the race" so the caller re-probes Load().
-      if (span.active()) {
-        span.arg("outcome", "yielded");
-        span.arg("wait_ns", NanosSince(t0));
-      }
-      return false;
-    }
-  }
-}
-
-void DiskCodeCache::EndCompile(uint64_t module_hash, uint64_t fingerprint) {
-  if (!enabled()) {
-    return;
-  }
-  std::error_code ec;
-  fs::remove(LockPathForKey(module_hash, fingerprint), ec);
-}
-
 DiskCacheStats DiskCodeCache::stats() const {
   DiskCacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
@@ -478,8 +369,6 @@ DiskCacheStats DiskCodeCache::stats() const {
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.load_failures = load_failures_.load(std::memory_order_relaxed);
   s.stores = stores_.load(std::memory_order_relaxed);
-  s.lease_waits = lease_waits_.load(std::memory_order_relaxed);
-  s.lease_takeovers = lease_takeovers_.load(std::memory_order_relaxed);
   s.deserialize_seconds =
       static_cast<double>(deserialize_nanos_.load(std::memory_order_relaxed)) * 1e-9;
   s.serialize_seconds =
@@ -493,8 +382,6 @@ void DiskCodeCache::ResetStats() {
   evictions_.store(0, std::memory_order_relaxed);
   load_failures_.store(0, std::memory_order_relaxed);
   stores_.store(0, std::memory_order_relaxed);
-  lease_waits_.store(0, std::memory_order_relaxed);
-  lease_takeovers_.store(0, std::memory_order_relaxed);
   deserialize_nanos_.store(0, std::memory_order_relaxed);
   serialize_nanos_.store(0, std::memory_order_relaxed);
 }

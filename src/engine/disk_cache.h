@@ -8,7 +8,8 @@
 // processes, and stray editors all touch it):
 //   - Writes are atomic (WriteFileAtomic): write a uniquely named .tmp file
 //     in the same directory, then rename() it over the final name. Readers
-//     never observe a half-written file.
+//     never observe a half-written file, and processes racing one cold key
+//     each publish a complete file: the last rename wins.
 //   - Loads reject anything the codec rejects (bad magic/version/checksum,
 //     truncation) AND any artifact whose stored key disagrees with the file
 //     name's key; rejected files are deleted and the caller recompiles.
@@ -17,12 +18,6 @@
 //     directory over budget evicts least-recently-used entries until it
 //     fits. Concurrent eviction from another process just makes some loads
 //     miss, which is safe.
-//   - Cross-process single-writer: BeginCompile/EndCompile serialize cold
-//     compiles of one key across PROCESSES with an exclusive-create
-//     `.bin.lock` lease file. Two cold processes racing one NSF_CACHE_DIR
-//     collapse onto one compiler: the loser waits for the lease to clear and
-//     loads the winner's artifact. A lease whose file outlives its holder
-//     (crash) is taken over once it looks stale.
 //
 // The file system is the tier's only record. A file's mtime is its LRU
 // recency: stores stamp it at publish time and load hits touch it. Size is
@@ -31,7 +26,7 @@
 // walk; in between it only grows by this instance's own stores. Drift is
 // benign: other processes' stores are seen at the next walk, and a re-store
 // or discard overestimates, which only triggers an earlier walk. The walk
-// also reclaims orphaned .tmp and stale .lock files.
+// also reclaims orphaned .tmp files.
 //
 // Thread-safe. All counters are atomics; the byte counter and eviction are
 // serialized in-process by a mutex so two stores don't double-delete.
@@ -58,8 +53,6 @@ struct DiskCacheStats {
   uint64_t evictions = 0;      // files removed by the LRU size bound
   uint64_t load_failures = 0;  // present-but-rejected files (corruption, version)
   uint64_t stores = 0;         // artifacts written
-  uint64_t lease_waits = 0;      // BeginCompile found another holder and waited
-  uint64_t lease_takeovers = 0;  // stale lease files forcibly removed
   double deserialize_seconds = 0;  // wall time decoding accepted artifacts
   double serialize_seconds = 0;    // wall time encoding + writing artifacts
 };
@@ -103,24 +96,6 @@ class DiskCodeCache {
   // Full path of the profile file for a workload name (exposed for tests).
   std::string ProfilePathForName(const std::string& name) const;
 
-  // Cross-process compile lease for one key. Returns true when the calling
-  // process now HOLDS the key's lease (it created the `.bin.lock` file —
-  // possibly after taking over a stale one) and must EndCompile() when its
-  // compile+Store finishes, succeed or fail. Returns false when another
-  // process held the lease and released it while we waited: the winner's
-  // artifact should now be on disk, so re-probe Load() instead of compiling.
-  // A disabled tier returns true (no cross-process state to serialize).
-  //
-  // Because a winner Store()s before it EndCompile()s, "lease acquired but
-  // Exists() is already true" means another process published between the
-  // caller's cold probe and its acquire — re-probe Load() in that case too.
-  bool BeginCompile(uint64_t module_hash, uint64_t fingerprint);
-  void EndCompile(uint64_t module_hash, uint64_t fingerprint);
-
-  // True when a published artifact file for the key exists right now: one
-  // stat, no decode, no hit/miss accounting.
-  bool Exists(uint64_t module_hash, uint64_t fingerprint) const;
-
   // Artifact bytes per the in-memory counter (seeded from a directory walk
   // on the first call or store).
   uint64_t DirSizeBytes() const;
@@ -128,13 +103,6 @@ class DiskCodeCache {
   // Full path of the artifact file for a key (exposed for tests that corrupt
   // or truncate cache entries on purpose).
   std::string PathForKey(uint64_t module_hash, uint64_t fingerprint) const;
-  // Path of the key's lease file (exposed for tests that fake stale leases).
-  std::string LockPathForKey(uint64_t module_hash, uint64_t fingerprint) const;
-
-  // Shrinks the lease timing so tests can exercise waiting and stale-lease
-  // takeover without multi-second sleeps. Call before any BeginCompile.
-  void SetLeaseTimingForTest(uint64_t stale_age_ms, uint64_t poll_ms,
-                             uint64_t wait_max_ms);
 
   DiskCacheStats stats() const;
   void ResetStats();
@@ -157,20 +125,11 @@ class DiskCodeCache {
   mutable bool sized_ = false;      // total_bytes_ seeded by a walk
   mutable uint64_t total_bytes_ = 0;
 
-  // Lease timing (test-tunable): a lock file older than stale_age is presumed
-  // orphaned by a crashed holder and taken over; waiters poll every poll_ms;
-  // wait_max is a backstop after which the waiter compiles anyway.
-  uint64_t lease_stale_age_ms_ = 10000;
-  uint64_t lease_poll_ms_ = 1;
-  uint64_t lease_wait_max_ms_ = 60000;
-
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> load_failures_{0};
   std::atomic<uint64_t> stores_{0};
-  std::atomic<uint64_t> lease_waits_{0};
-  std::atomic<uint64_t> lease_takeovers_{0};
   std::atomic<uint64_t> deserialize_nanos_{0};
   std::atomic<uint64_t> serialize_nanos_{0};
 };

@@ -1,8 +1,10 @@
 #include "src/engine/engine.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -46,9 +48,16 @@ std::string DefaultCacheDir() {
 }
 
 uint64_t DefaultDiskCacheMaxBytes() {
+  // Digits only, all of them: a suffix ("256M"), a sign ("-1"), a word or an
+  // empty value must not turn into a tiny bound, "unbounded" or 2^64-1.
   const char* v = std::getenv("NSF_CACHE_MAX_BYTES");
   if (v != nullptr) {
-    return static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
+    const char* end = v + std::strlen(v);
+    uint64_t bytes = 0;
+    auto [stop, ec] = std::from_chars(v, end, bytes);
+    if (ec == std::errc() && stop == end) {
+      return bytes;
+    }
   }
   return 256ull << 20;  // 256 MiB default budget for the disk tier
 }
@@ -306,14 +315,10 @@ CompiledModuleRef CodeCache::GetOrCompile(uint64_t module_hash, uint64_t fingerp
   // still be released and the placeholder dropped — a dead latch would wedge
   // the key forever — so publish a failed result before propagating.
   CompiledModuleRef result;
-  bool compiled_here = false;
-  bool lease_held = false;
   // Level 2: probe the disk tier before paying a backend compile. An
   // accepted artifact is published exactly like a compile result; anything
   // unusable (absent, truncated, version drift, checksum mismatch) falls
-  // through to the compiler. Runs up to twice per miss: once cold, and once
-  // more after losing the cross-process compile lease to another process
-  // (whose artifact should then be on disk).
+  // through to the compiler.
   auto probe_disk = [&]() -> CompiledModuleRef {
     auto loaded = std::make_shared<CompiledModule>();
     if (!disk_.Load(module_hash, fingerprint, &loaded->artifact)) {
@@ -359,29 +364,12 @@ CompiledModuleRef CodeCache::GetOrCompile(uint64_t module_hash, uint64_t fingerp
   try {
     if (disk_.enabled()) {
       result = probe_disk();
-      if (result == nullptr) {
-        // Cold everywhere. Serialize the compile across PROCESSES sharing
-        // this cache dir: take the key's lease, or — if another process beat
-        // us to it and already released — load its artifact instead of
-        // recompiling. Winners Store() before EndCompile(), so once we get
-        // past BeginCompile, an artifact existing means somebody published
-        // between our cold probe and now: load it rather than recompile.
-        // (The plain cold path stats one stat here, not a counted miss.)
-        lease_held = disk_.BeginCompile(module_hash, fingerprint);
-        if (disk_.Exists(module_hash, fingerprint)) {
-          result = probe_disk();
-        }
-      }
     }
     if (result == nullptr) {
       result = compile();
-      compiled_here = true;
       info->compiled = true;
     }
   } catch (...) {
-    if (lease_held) {
-      disk_.EndCompile(module_hash, fingerprint);
-    }
     auto aborted = std::make_shared<CompiledModule>();
     aborted->artifact.module_hash = module_hash;
     aborted->artifact.options_fingerprint = fingerprint;
@@ -390,14 +378,11 @@ CompiledModuleRef CodeCache::GetOrCompile(uint64_t module_hash, uint64_t fingerp
     throw;
   }
   Publish(shard, key, latch, result);
-  // Persist AFTER publishing so waiters are never blocked on file I/O, and
-  // release the cross-process lease only once the artifact is on disk — a
-  // lease loser that wakes up must find something to load.
-  if (compiled_here && result != nullptr && result->ok) {
+  // Persist AFTER publishing so waiters are never blocked on file I/O.
+  // Another process compiling the same key stores its own complete file;
+  // the last rename wins.
+  if (info->compiled && result != nullptr && result->ok) {
     disk_.Store(result->artifact);
-  }
-  if (lease_held) {
-    disk_.EndCompile(module_hash, fingerprint);
   }
   return result;
 }
@@ -555,10 +540,9 @@ Engine::Engine(EngineConfig config)
   if (!config_.cache_dir.empty()) {
     history_.Load(RunHistoryPath());
   }
-  // Background tiering needs the sampling signal (sample_period == 0 would
-  // never mark a module hot) and the cache (the hot swap IS a cache
-  // republish); without either, don't start the thread at all.
-  if (config_.background_tiering && config_.sample_period != 0 && config_.cache_enabled) {
+  // Background tiering needs the sampling signal: sample_period == 0 would
+  // never mark a module hot, so don't start the thread at all.
+  if (config_.background_tiering && config_.sample_period != 0) {
     tierer_ = std::make_unique<BackgroundTierer>(this);
   }
 }
@@ -645,13 +629,10 @@ CompiledModuleRef Engine::Compile(const Module& module, const CodegenOptions& op
                                   CompileInfo* info) {
   uint64_t module_hash = HashModule(module);
   uint64_t fingerprint = options.Fingerprint();
-  *info = CompileInfo();
-  if (!config_.cache_enabled) {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    info->compiled = true;
-    return CompileUncached(module, module_hash, options, fingerprint);
+  CompileInfo local_info;
+  if (info == nullptr) {
+    info = &local_info;
   }
-
   CompiledModuleRef result = cache_.GetOrCompile(
       module_hash, fingerprint,
       [&] { return CompileUncached(module, module_hash, options, fingerprint); }, info);
@@ -671,26 +652,6 @@ CompiledModuleRef Engine::Compile(const Module& module, const CodegenOptions& op
     AddSeconds(&saved_nanos_, result->stats().seconds);
   } else {
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return result;
-}
-
-CompiledModuleRef Engine::Compile(const Module& module, const CodegenOptions& options,
-                                  bool* was_hit) {
-  CompileInfo info;
-  CompiledModuleRef result = Compile(module, options, &info);
-  if (was_hit != nullptr) {
-    *was_hit = info.hit;
-  }
-  return result;
-}
-
-CompiledModuleRef Engine::CompileWorkload(const WorkloadSpec& spec,
-                                          const CodegenOptions& options, bool* was_hit) {
-  CompileInfo info;
-  CompiledModuleRef result = CompileWorkload(spec, options, &info);
-  if (was_hit != nullptr) {
-    *was_hit = info.hit;
   }
   return result;
 }
@@ -807,8 +768,6 @@ EngineStats Engine::Stats() const {
   s.disk_evictions = d.evictions;
   s.disk_load_failures = d.load_failures;
   s.disk_stores = d.stores;
-  s.disk_lease_waits = d.lease_waits;
-  s.disk_lease_takeovers = d.lease_takeovers;
   s.deserialize_seconds = d.deserialize_seconds;
   s.serialize_seconds = d.serialize_seconds;
   s.verify_rejects = cache_.verify_rejects();

@@ -322,11 +322,11 @@ class RunHistory {
 
 // Reads NSF_CACHE_DIR: the disk tier's directory ("" = disabled).
 std::string DefaultCacheDir();
-// Reads NSF_CACHE_MAX_BYTES; defaults to 256 MiB. 0 = unbounded.
+// Reads NSF_CACHE_MAX_BYTES: a run of decimal digits that fits in 64 bits,
+// 0 = unbounded. Unset or anything else reads as the 256 MiB default.
 uint64_t DefaultDiskCacheMaxBytes();
 
 struct EngineConfig {
-  bool cache_enabled = true;   // table2-style compile-time benches disable it
   // Disk tier: empty disables persistence. Defaults honor the NSF_CACHE_DIR /
   // NSF_CACHE_MAX_BYTES environment, so an engine built with the defaults
   // persists compiles when the caller exports a cache directory. The bench
@@ -368,8 +368,6 @@ struct EngineStats {
   uint64_t disk_evictions = 0;       // files removed by the LRU size bound
   uint64_t disk_load_failures = 0;   // corrupt/mismatched files rejected
   uint64_t disk_stores = 0;          // artifacts persisted
-  uint64_t disk_lease_waits = 0;     // cold compiles that waited on another process's lease
-  uint64_t disk_lease_takeovers = 0;  // stale lease files forcibly reclaimed
   double deserialize_seconds = 0;    // wall time decoding disk artifacts
   double serialize_seconds = 0;      // wall time encoding + writing artifacts
   // Disk artifacts that passed the codec's checksum but failed semantic
@@ -410,22 +408,16 @@ class Engine {
   // Compile-or-fetch. On a miss the CompiledModule retains a copy of the
   // module for import binding and export lookup; a hit copies nothing.
   // Never returns null — check (*result).ok. Failed compiles are not cached.
-  // *was_hit (optional) reports whether this call was served from the cache
-  // (either tier, including joining another thread's in-flight compile) —
-  // per-call truth, unlike diffing Stats() which races under concurrency.
+  // *info (optional) reports whether THIS call hit (either tier, including
+  // joining another thread's in-flight compile), joined, ran the backend
+  // compiler, or deserialized the artifact from disk — per-call truth,
+  // unlike diffing Stats() which races under concurrency.
   CompiledModuleRef Compile(const Module& module, const CodegenOptions& options,
-                            bool* was_hit = nullptr);
-
-  // As above, with full per-call attribution: whether THIS call hit, joined,
-  // ran the backend compiler, or deserialized the artifact from disk.
-  CompiledModuleRef Compile(const Module& module, const CodegenOptions& options,
-                            CompileInfo* info);
+                            CompileInfo* info = nullptr);
 
   // Builds spec.build() and compiles it.
   CompiledModuleRef CompileWorkload(const WorkloadSpec& spec, const CodegenOptions& options,
-                                    bool* was_hit = nullptr);
-  CompiledModuleRef CompileWorkload(const WorkloadSpec& spec, const CodegenOptions& options,
-                                    CompileInfo* info);
+                                    CompileInfo* info = nullptr);
 
   // Profile-guided options for `spec` over `base` — the one place a tier-up
   // profile is obtained, cached and persisted. The profile comes from the

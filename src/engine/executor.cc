@@ -190,23 +190,16 @@ void ExecutorPool::WorkerMain(int worker_index) {
   }
 }
 
-const char* SchedulePolicyName(SchedulePolicy policy) {
-  return policy == SchedulePolicy::kLpt ? "lpt" : "fifo";
-}
-
-BatchReport ExecutorPool::Run(const std::vector<RunRequest>& requests,
-                              SchedulePolicy schedule) {
+BatchReport ExecutorPool::Run(const std::vector<RunRequest>& requests) {
   std::lock_guard<std::mutex> run_lock(run_mu_);
   telemetry::Span span("batch", "executor");
   if (span.active()) {
     span.arg("requests", static_cast<uint64_t>(requests.size()));
-    span.arg("schedule", SchedulePolicyName(schedule));
     span.arg("workers", workers());
   }
 
   BatchReport report;
   report.workers = workers();
-  report.schedule = schedule;
 
   size_t total_jobs = 0;
   for (const RunRequest& r : requests) {
@@ -217,15 +210,13 @@ BatchReport ExecutorPool::Run(const std::vector<RunRequest>& requests,
   // LPT: one work estimate per request (all reps of a request share it) —
   // the observed mean simulated seconds in the run history. 0 for cold
   // workloads, so a batch with no history keeps its queue order under the
-  // stable sort — the documented FIFO fallback.
+  // stable sort.
   std::vector<double> request_work(requests.size(), 0.0);
-  if (schedule == SchedulePolicy::kLpt) {
-    for (size_t i = 0; i < requests.size(); i++) {
-      uint64_t observed_runs = 0;
-      request_work[i] = engine_->history().ObservedSeconds(requests[i].spec.name, &observed_runs);
-      if (observed_runs > 0) {
-        report.lpt_observed_requests++;
-      }
+  for (size_t i = 0; i < requests.size(); i++) {
+    uint64_t observed_runs = 0;
+    request_work[i] = engine_->history().ObservedSeconds(requests[i].spec.name, &observed_runs);
+    if (observed_runs > 0) {
+      report.lpt_observed_requests++;
     }
   }
 
@@ -240,13 +231,11 @@ BatchReport ExecutorPool::Run(const std::vector<RunRequest>& requests,
         jobs_.push_back(Job{&requests[i], i, rep, slot++});
       }
     }
-    if (schedule == SchedulePolicy::kLpt) {
-      // Result slots are fixed by (request_index, rep); only the dispatch
-      // order changes, so reordering jobs_ never perturbs report.runs order.
-      std::stable_sort(jobs_.begin(), jobs_.end(), [&](const Job& a, const Job& b) {
-        return request_work[a.request_index] > request_work[b.request_index];
-      });
-    }
+    // Result slots are fixed by (request_index, rep); only the dispatch
+    // order changes, so reordering jobs_ never perturbs report.runs order.
+    std::stable_sort(jobs_.begin(), jobs_.end(), [&](const Job& a, const Job& b) {
+      return request_work[a.request_index] > request_work[b.request_index];
+    });
     next_job_ = 0;
     jobs_done_ = 0;
     results_ = &report.runs;

@@ -42,21 +42,6 @@ struct RunRequest {
   bool collect_outputs = true;  // read spec.output_files back after each run
 };
 
-// How ExecutorPool orders jobs onto free workers.
-//   kLpt  — longest-processing-time-first by each request's OBSERVED mean
-//           simulated seconds in the run history (RunHistory::ObservedSeconds).
-//           Classic greedy makespan heuristic: big jobs can't land last and
-//           leave one worker running alone. A request with no history
-//           carries estimate 0, so an entirely cold batch degrades to
-//           exactly kFifo (the sort is stable).
-//   kFifo — pure queue order (request-major, then rep), the pre-LPT behavior.
-//
-// Every completed run feeds the run history (RunHistory::RecordRun), so LPT
-// estimates sharpen as batches repeat.
-enum class SchedulePolicy : uint8_t { kLpt, kFifo };
-
-const char* SchedulePolicyName(SchedulePolicy policy);
-
 // One run's result inside a batch (request `request_index`, repetition `rep`,
 // executed by worker `worker`).
 struct BatchRunResult {
@@ -87,7 +72,6 @@ struct BatchRunResult {
 // the makespan equals sim_seconds_total.
 struct BatchReport {
   int workers = 0;
-  SchedulePolicy schedule = SchedulePolicy::kLpt;  // policy the pool applied
   std::vector<BatchRunResult> runs;  // ordered by (request_index, rep)
   uint64_t ok_runs = 0;
   uint64_t failed_runs = 0;
@@ -103,8 +87,7 @@ struct BatchReport {
   double failed_sim_seconds = 0;
   double sim_makespan_seconds = 0;
   std::vector<double> worker_sim_seconds;  // indexed by worker; OK runs only
-  // Under kLpt: how many requests had observed run history (the rest
-  // estimate 0). 0 under kFifo.
+  // How many requests had observed run history (the rest estimate 0).
   uint64_t lpt_observed_requests = 0;
   EngineStats stats_after;  // engine snapshot when the batch finished
 
@@ -131,13 +114,18 @@ class ExecutorPool {
   ExecutorPool(const ExecutorPool&) = delete;
   ExecutorPool& operator=(const ExecutorPool&) = delete;
 
-  // Expands `requests` into request×rep jobs, orders them by `schedule`
-  // (LPT by observed run history by default, FIFO when nothing has run),
-  // executes them across the workers (a free worker takes the next job),
-  // blocks until every job finished, and aggregates the report. Results in
-  // the report stay in (request_index, rep) order regardless of schedule.
-  BatchReport Run(const std::vector<RunRequest>& requests,
-                  SchedulePolicy schedule = SchedulePolicy::kLpt);
+  // Expands `requests` into request×rep jobs and orders them
+  // longest-processing-time-first by each request's OBSERVED mean simulated
+  // seconds in the run history (RunHistory::ObservedSeconds), the classic
+  // greedy makespan heuristic: big jobs can't land last and leave one worker
+  // running alone. A request with no history estimates 0, so an entirely
+  // cold batch keeps its queue order (request-major, then rep; the sort is
+  // stable). Every completed run feeds the history (RunHistory::RecordRun),
+  // so the estimates sharpen as batches repeat. Executes the jobs across the
+  // workers (a free worker takes the next job), blocks until every job
+  // finished, and aggregates the report. Results in the report stay in
+  // (request_index, rep) order regardless of dispatch order.
+  BatchReport Run(const std::vector<RunRequest>& requests);
 
   int workers() const { return static_cast<int>(threads_.size()); }
   Engine* engine() { return engine_; }

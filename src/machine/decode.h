@@ -53,31 +53,6 @@ namespace nsf {
 // reported by bench/sim_throughput so perf trajectories name their engine.
 const char* SimDispatchBackend();
 
-// --- Round-2 data-pair fusion gate ---
-//
-// The round-2 superinstructions (mov-imm+mov, load+mov, mov+add) came from
-// the adjacent-pair table under a suspicion that as a group they cost
-// interpreter wall clock (bigger handler bodies pushing the hot dispatch
-// loop past the L1i sweet spot). Each shape is therefore gated individually
-// and must earn its keep on a measured bench/sim_throughput A/B
-// (NSF_DATA_PAIRS=all vs none vs the per-shape masks). The gate is
-// decode-time only and cannot move PerfCounters: fused and unfused pairs
-// fetch, retire, and charge cycles identically.
-inline constexpr uint32_t kDataPairMovRIMovRR = 1u << 0;
-inline constexpr uint32_t kDataPairLoadZMovRR = 1u << 1;
-inline constexpr uint32_t kDataPairMovRRAddRR = 1u << 2;
-// Measured (predecoded-vs-legacy geomean over the 23-kernel PolyBench
-// suite, min-of-3 walls, computed-goto dispatch): none 1.87x, mov-imm+mov
-// alone 1.92x, load+mov alone 1.90x, mov+add alone 1.88x, all three 1.95x.
-// Every shape wins individually and they compose, so the committed default
-// keeps all three; the suspected regression did not survive measurement.
-inline constexpr uint32_t kDataPairDefaultFusionMask =
-    kDataPairMovRIMovRR | kDataPairLoadZMovRR | kDataPairMovRRAddRR;
-// The active mask: NSF_DATA_PAIRS=all|none|<numeric mask> overrides the
-// default. Read once per process (decode results are cached per code-cache
-// entry, so a mid-process flip would desynchronize cached entries).
-uint32_t DataPairFusionMask();
-
 // Specialized handler ids. One X-macro list generates the enum, the
 // computed-goto label table, and the switch cases — the three must agree on
 // order, so there is exactly one source of truth.

@@ -460,7 +460,7 @@ TEST(RunHistory, BatchRunsFeedTheTableAndLptUsesIt) {
   }
 
   engine::ExecutorPool pool(&eng, 2);
-  engine::BatchReport cold = pool.Run(requests, engine::SchedulePolicy::kLpt);
+  engine::BatchReport cold = pool.Run(requests);
   ASSERT_TRUE(cold.all_ok());
   // Nothing observed before the first batch...
   EXPECT_EQ(cold.lpt_observed_requests, 0u);
@@ -468,13 +468,9 @@ TEST(RunHistory, BatchRunsFeedTheTableAndLptUsesIt) {
   EXPECT_EQ(eng.history().ObservedRuns("trisolv"), 1u);
   EXPECT_GT(eng.history().ObservedSeconds("trisolv"), 0.0);
 
-  engine::BatchReport warm = pool.Run(requests, engine::SchedulePolicy::kLpt);
+  engine::BatchReport warm = pool.Run(requests);
   ASSERT_TRUE(warm.all_ok());
   EXPECT_EQ(warm.lpt_observed_requests, requests.size());
-  // FIFO never consults the table.
-  engine::BatchReport fifo = pool.Run(requests, engine::SchedulePolicy::kFifo);
-  ASSERT_TRUE(fifo.all_ok());
-  EXPECT_EQ(fifo.lpt_observed_requests, 0u);
 }
 
 // --- Decode structure sanity ---

@@ -1,24 +1,24 @@
-// The disk tier on one shared cache directory: the cross-process compile
-// lease (exactly one compiler per cold key; losers wait and load the
-// winner's artifact; crashed holders' stale leases are taken over), LRU
-// eviction by file mtime with a walk-seeded byte counter, and the faults the
+// The disk tier on one shared cache directory: racing cold writers of one
+// key (each publishes a complete file; the last rename wins), LRU eviction
+// by file mtime with a walk-seeded byte counter, and the faults the
 // directory must survive (writers killed between tmp write and rename, an
 // unusable cache path, tmp-name collisions across fork()).
 //
 // "Processes" here are mostly separate DiskCodeCache / Engine instances
 // sharing a directory — from the filesystem's point of view (the only state
-// the lease and eviction protocols use), that is exactly what two processes
+// the store and eviction paths use), that is exactly what two processes
 // look like. One test forks two real processes for the warm start.
 #include "src/engine/disk_cache.h"
 
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <latch>
+#include <memory>
 #include <regex>
 #include <set>
 #include <thread>
@@ -48,7 +48,7 @@ namespace fs = std::filesystem;
 struct TempCacheDir {
   explicit TempCacheDir(const std::string& tag) {
     path = (fs::temp_directory_path() /
-            ("nsf-lease-test-" + tag + "-" + std::to_string(::getpid())))
+            ("nsf-disk-test-" + tag + "-" + std::to_string(::getpid())))
                .string();
     fs::remove_all(path);
   }
@@ -79,94 +79,63 @@ Module SumSquaresModule(int32_t bias = 0) {
   return mb.Build();
 }
 
-// --- lease primitives -----------------------------------------------------
+// --- racing cold writers ----------------------------------------------------
 
-TEST(DiskLease, AcquireCreatesLockFileReleaseRemovesIt) {
-  TempCacheDir dir("basic");
-  engine::DiskCodeCache cache(dir.path, 0);
-  ASSERT_TRUE(cache.BeginCompile(1, 2));
-  EXPECT_TRUE(fs::exists(cache.LockPathForKey(1, 2)));
-  // An unrelated key is independent.
-  ASSERT_TRUE(cache.BeginCompile(3, 4));
-  cache.EndCompile(3, 4);
-  cache.EndCompile(1, 2);
-  EXPECT_FALSE(fs::exists(cache.LockPathForKey(1, 2)));
-  EXPECT_EQ(cache.stats().lease_waits, 0u);
-  EXPECT_EQ(cache.stats().lease_takeovers, 0u);
-}
-
-TEST(DiskLease, DisabledTierAlwaysGrants) {
-  engine::DiskCodeCache cache("", 0);
-  EXPECT_TRUE(cache.BeginCompile(1, 2));
-  cache.EndCompile(1, 2);  // no-op, must not crash
-}
-
-TEST(DiskLease, LoserBlocksUntilWinnerReleasesThenYields) {
-  TempCacheDir dir("wait");
-  engine::DiskCodeCache winner(dir.path, 0);
-  engine::DiskCodeCache loser(dir.path, 0);
-  loser.SetLeaseTimingForTest(/*stale_age_ms=*/60000, /*poll_ms=*/1,
-                              /*wait_max_ms=*/60000);
-  ASSERT_TRUE(winner.BeginCompile(7, 9));
-
-  std::atomic<int> outcome{-1};
-  std::thread t([&] { outcome.store(loser.BeginCompile(7, 9) ? 1 : 0); });
-  // The lease is held and fresh, so the loser can only be waiting.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(outcome.load(), -1);
-
-  winner.EndCompile(7, 9);
-  t.join();
-  EXPECT_EQ(outcome.load(), 0) << "loser must yield, not acquire";
-  EXPECT_EQ(loser.stats().lease_waits, 1u);
-  EXPECT_EQ(loser.stats().lease_takeovers, 0u);
-}
-
-TEST(DiskLease, StaleLeaseFromDeadHolderIsTakenOver) {
-  TempCacheDir dir("stale");
-  engine::DiskCodeCache cache(dir.path, 0);
-  cache.SetLeaseTimingForTest(/*stale_age_ms=*/30, /*poll_ms=*/1,
-                              /*wait_max_ms=*/60000);
-  // Fake the lock file a crashed holder left behind.
-  fs::create_directories(dir.path);
-  {
-    FILE* f = fopen(cache.LockPathForKey(3, 4).c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    fputs("pid 0\n", f);
-    fclose(f);
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_TRUE(cache.BeginCompile(3, 4)) << "stale lease must be reclaimed";
-  EXPECT_GE(cache.stats().lease_takeovers, 1u);
-  cache.EndCompile(3, 4);
-  EXPECT_FALSE(fs::exists(cache.LockPathForKey(3, 4)));
-}
-
-// --- lease wired into the engine ------------------------------------------
-
-TEST(DiskLease, RacingColdEnginesCollapseOntoOneCompiler) {
+TEST(DiskTier, RacingColdEnginesEachPublishACompleteFile) {
   TempCacheDir dir("race");
-  Module m = SumSquaresModule(42);
+  const Module m = SumSquaresModule(42);
+  const CodegenOptions opts = CodegenOptions::ChromeV8();
   engine::Engine a(DiskConfig(dir.path));
   engine::Engine b(DiskConfig(dir.path));
 
+  // Each engine's cache probes the empty directory, misses and compiles. The
+  // latch holds each compile until the other engine has missed too, so both
+  // then store a complete file for the key through their own tmp names, and
+  // the last rename wins. (Two threads calling Engine::Compile seldom
+  // overlap: one compile takes less than a scheduler time slice.)
+  std::latch both_missed(2);
+  auto compile = [&](engine::Engine* eng, engine::CompiledModuleRef* out,
+                     engine::CompileInfo* info) {
+    *out = eng->cache().GetOrCompile(
+        HashModule(m), opts.Fingerprint(),
+        [&] {
+          both_missed.arrive_and_wait();
+          auto code = std::make_shared<engine::CompiledModule>();
+          code->artifact = BuildArtifact(m, opts);
+          code->ok = code->artifact.ok();
+          code->BuildDecoded();
+          return engine::CompiledModuleRef(std::move(code));
+        },
+        info);
+  };
   engine::CompiledModuleRef ra, rb;
-  std::thread ta([&] { ra = a.Compile(m, CodegenOptions::ChromeV8()); });
-  std::thread tb([&] { rb = b.Compile(m, CodegenOptions::ChromeV8()); });
+  engine::CompileInfo ia, ib;
+  std::thread ta(compile, &a, &ra, &ia);
+  std::thread tb(compile, &b, &rb, &ib);
   ta.join();
   tb.join();
 
-  ASSERT_TRUE(ra != nullptr && ra->ok) << (ra ? ra->error : "null");
-  ASSERT_TRUE(rb != nullptr && rb->ok) << (rb ? rb->error : "null");
-  // The whole point: however the race interleaves, the backend ran ONCE
-  // across both engines — the loser waited on the lease (or arrived after
-  // release) and loaded the winner's artifact from disk.
-  EXPECT_EQ(a.Stats().compiles + b.Stats().compiles, 1u);
+  ASSERT_TRUE(ra != nullptr && ra->ok);
+  ASSERT_TRUE(rb != nullptr && rb->ok);
+  EXPECT_TRUE(ia.compiled && ib.compiled);
+  EXPECT_EQ(a.Stats().disk_stores + b.Stats().disk_stores, 2u);
   EXPECT_EQ(ra->program().total_code_bytes, rb->program().total_code_bytes);
-  // No lease files may survive the race.
-  uint64_t hash = HashModule(m);
-  uint64_t fp = CodegenOptions::ChromeV8().Fingerprint();
-  EXPECT_FALSE(fs::exists(a.cache().disk().LockPathForKey(hash, fp)));
+  const std::regex artifact(R"(^nsfa-[0-9a-f]{16}-[0-9a-f]{16}\.bin$)");
+  int artifacts = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_EQ(name.find(".tmp."), std::string::npos) << "unrenamed tmp file: " << name;
+    artifacts += std::regex_match(name, artifact) ? 1 : 0;
+  }
+  EXPECT_EQ(artifacts, 1);
+
+  // Whichever rename won, the file is a complete artifact for the key.
+  engine::Engine c(DiskConfig(dir.path));
+  engine::CompiledModuleRef rc = c.Compile(m, opts);
+  ASSERT_TRUE(rc->ok) << rc->error;
+  EXPECT_TRUE(rc->from_disk);
+  EXPECT_EQ(c.Stats().compiles, 0u);
+  EXPECT_EQ(c.Stats().disk_hits, 1u);
 }
 
 // --- a second process over the same cache dir -----------------------------
@@ -222,7 +191,7 @@ int RunOneProcess(const std::string& dir, bool warm) {
 // The compile-once-run-anywhere guarantee across real processes: the second
 // of two processes over one cache dir compiles nothing, and clean exits
 // leave only artifacts, profiles and the run history behind.
-TEST(DiskLease, SecondProcessServesEveryKeyFromDisk) {
+TEST(DiskTier, SecondProcessServesEveryKeyFromDisk) {
   TempCacheDir dir("two-processes");
   // The children fork one after the other, before this process starts any
   // thread; each builds its own engine and worker pool.
@@ -248,14 +217,13 @@ TEST(DiskLease, SecondProcessServesEveryKeyFromDisk) {
   EXPECT_GT(artifacts, 0);
 }
 
-TEST(DiskLease, UncontendedColdCompileStillCountsOneMiss) {
+TEST(DiskTier, UncontendedColdCompileStillCountsOneMiss) {
   TempCacheDir dir("uncontended");
   engine::Engine eng(DiskConfig(dir.path));
   ASSERT_TRUE(eng.Compile(SumSquaresModule(1), CodegenOptions::ChromeV8())->ok);
   engine::EngineStats s = eng.Stats();
   EXPECT_EQ(s.compiles, 1u);
-  EXPECT_EQ(s.disk_misses, 1u);  // the lease's Exists() stat is not a probe
-  EXPECT_EQ(s.disk_lease_waits, 0u);
+  EXPECT_EQ(s.disk_misses, 1u);  // one probe before the compile
   EXPECT_EQ(s.disk_stores, 1u);
 }
 
@@ -341,20 +309,17 @@ TEST(DiskFault, CrashBetweenTmpWriteAndRenameIsReclaimedByTheWalk) {
   TempCacheDir dir("orphans");
   fs::create_directories(dir.path);
   engine::DiskCodeCache cache(dir.path, 0);
-  // What writers and lease holders killed mid-flight leave behind: a tmp
-  // file that never got renamed and a lease nobody will release, both an
-  // hour old, plus a fresh tmp file a live writer may still rename.
+  // What a writer killed mid-flight leaves behind: a tmp file that never
+  // got renamed, an hour old, plus a fresh tmp file a live writer may still
+  // rename.
   const auto now = fs::file_time_type::clock::now();
   const std::string stale_tmp = cache.PathForKey(5, 6) + ".tmp.4242.0";
-  const std::string stale_lock = cache.LockPathForKey(5, 6);
   const std::string fresh_tmp = cache.PathForKey(7, 8) + ".tmp.4243.0";
   PlantFile(stale_tmp, now - std::chrono::hours(1));
-  PlantFile(stale_lock, now - std::chrono::hours(1));
   PlantFile(fresh_tmp, now);
 
   cache.Store(BuildArtifact(SumSquaresModule(1), CodegenOptions::ChromeV8()));
   EXPECT_FALSE(fs::exists(stale_tmp));
-  EXPECT_FALSE(fs::exists(stale_lock));
   EXPECT_TRUE(fs::exists(fresh_tmp)) << "a young tmp file may belong to a live writer";
   EXPECT_EQ(cache.DirSizeBytes(), ArtifactBytesOnDisk(dir.path));
 }

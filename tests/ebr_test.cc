@@ -219,9 +219,9 @@ TEST(EbrCodeCache, PureWarmHitPathTakesZeroLockWaits) {
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back([&] {
       for (int i = 0; i < kHitsPerThread; i++) {
-        bool hit = false;
-        engine::CompiledModuleRef code = eng.Compile(m, opts, &hit);
-        if (code == nullptr || !code->ok || !hit) {
+        engine::CompileInfo info;
+        engine::CompiledModuleRef code = eng.Compile(m, opts, &info);
+        if (code == nullptr || !code->ok || !info.hit) {
           misses.fetch_add(1, std::memory_order_relaxed);
         }
       }

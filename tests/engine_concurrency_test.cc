@@ -422,7 +422,7 @@ TEST(EngineConcurrency, RacingStoresWithTinyBudgetNeverBreakResults) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ExecutorPool, LptSchedulesByObservedSecondsFifoKeepsOrder) {
+TEST(ExecutorPool, LptSchedulesByObservedSeconds) {
   engine::Engine eng;
   // Two workloads with very different work: lpt_big runs 500x the loop
   // iterations of lpt_small.
@@ -435,9 +435,9 @@ TEST(ExecutorPool, LptSchedulesByObservedSecondsFifoKeepsOrder) {
   EXPECT_EQ(eng.history().ObservedSeconds("never_run"), 0.0);
 
   // Queue order: small first. Under LPT with ONE worker, the big job must
-  // execute first (its run finishes earlier in the worker's timeline); under
-  // FIFO the small job does. Wall-clock start order is observable through
-  // per-worker accumulation: with 1 worker, runs execute in dispatch order.
+  // execute first (its run finishes earlier in the worker's timeline).
+  // Wall-clock start order is observable through per-worker accumulation:
+  // with 1 worker, runs execute in dispatch order.
   engine::RunRequest small_req;
   small_req.spec = small;
   small_req.options = CodegenOptions::ChromeV8();
@@ -446,20 +446,13 @@ TEST(ExecutorPool, LptSchedulesByObservedSecondsFifoKeepsOrder) {
   big_req.spec = big;
 
   engine::ExecutorPool pool(&eng, 1);
-  engine::BatchReport lpt = pool.Run({small_req, big_req}, engine::SchedulePolicy::kLpt);
+  engine::BatchReport lpt = pool.Run({small_req, big_req});
   ASSERT_TRUE(lpt.all_ok());
-  EXPECT_EQ(lpt.schedule, engine::SchedulePolicy::kLpt);
   EXPECT_EQ(lpt.lpt_observed_requests, 2u);
   // Results stay (request_index, rep)-ordered even though dispatch reordered.
   ASSERT_EQ(lpt.runs.size(), 2u);
   EXPECT_EQ(lpt.runs[0].request_index, 0u);
   EXPECT_EQ(lpt.runs[1].request_index, 1u);
-
-  engine::BatchReport fifo = pool.Run({small_req, big_req}, engine::SchedulePolicy::kFifo);
-  ASSERT_TRUE(fifo.all_ok());
-  EXPECT_EQ(fifo.schedule, engine::SchedulePolicy::kFifo);
-  // Identical work either way: scheduling must not change WHAT ran.
-  EXPECT_NEAR(fifo.sim_seconds_total, lpt.sim_seconds_total, 1e-12);
 }
 
 // Equal jobs spread over the workers: 16 runs of one key finish in well under

@@ -79,9 +79,9 @@ TEST(HotSwap, RepublishReplacesTheBaseKeyEntry) {
   EXPECT_EQ(now->profile_name(), "chrome-v8+pgo");
 
   // A compile of the base options is now a warm hit on the SWAPPED entry.
-  bool hit = false;
-  engine::CompiledModuleRef again = eng.Compile(m, CodegenOptions::ChromeV8(), &hit);
-  EXPECT_TRUE(hit);
+  engine::CompileInfo info;
+  engine::CompiledModuleRef again = eng.Compile(m, CodegenOptions::ChromeV8(), &info);
+  EXPECT_TRUE(info.hit);
   EXPECT_EQ(again.get(), pgo.get());
 }
 

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -562,10 +563,10 @@ TEST(DiskCache, SecondEngineLoadsArtifactInsteadOfCompiling) {
   // A second engine (fresh memory tier — a new process, morally) must serve
   // the key from disk: zero backend compiles, and the call counts as a hit.
   engine::Engine second(DiskConfig(dir.path));
-  bool was_hit = false;
-  engine::CompiledModuleRef b = second.Compile(m, CodegenOptions::ChromeV8(), &was_hit);
+  engine::CompileInfo info;
+  engine::CompiledModuleRef b = second.Compile(m, CodegenOptions::ChromeV8(), &info);
   ASSERT_TRUE(b->ok) << b->error;
-  EXPECT_TRUE(was_hit);
+  EXPECT_TRUE(info.hit);
   EXPECT_TRUE(b->from_disk);
   engine::EngineStats ss = second.Stats();
   EXPECT_EQ(ss.compiles, 0u);
@@ -670,8 +671,9 @@ TEST(DiskCache, EvictionRespectsSizeBoundLruFirst) {
   EXPECT_FALSE(oldest->from_disk) << "least recently used artifact should have been evicted";
 
   // A fresh instance seeds its counter from one walk that counts published
-  // artifacts only: profiles, the run history, and in-flight tmp and lease
-  // files sitting next to them are not artifact bytes.
+  // artifacts only: profiles, the run history, in-flight tmp files and the
+  // `.bin.lock` files older builds left sitting next to them are not
+  // artifact bytes.
   for (const char* name : {"nsfp-0123456789abcdef.bin", "run_history",
                            "nsfa-0-0.bin.tmp.1.0", "nsfa-0-0.bin.lock"}) {
     FILE* f = fopen((dir.path + "/" + name).c_str(), "w");
@@ -738,6 +740,34 @@ TEST(DiskCache, MiskeyedFileIsRejected) {
   ASSERT_TRUE(r->ok);
   EXPECT_FALSE(r->from_disk);  // rejected the mis-keyed file, recompiled
   EXPECT_EQ(reader.Stats().disk_load_failures, 1u);
+}
+
+// NSF_CACHE_MAX_BYTES is a byte count or nothing: a suffix, a sign, an empty
+// value or one past 2^64-1 must fall back to the default budget rather than
+// read as a tiny bound, as "unbounded" or as 2^64-1.
+TEST(DiskCache, MaxBytesEnvAcceptsOnlyDecimalDigits) {
+  const uint64_t kDefault = 256ull << 20;
+  const struct {
+    const char* value;
+    uint64_t bytes;
+  } kCases[] = {
+      {"1048576", 1048576},
+      {"0", 0},  // unbounded
+      {"18446744073709551615", UINT64_MAX},
+      {"256M", kDefault},
+      {"abc", kDefault},
+      {"", kDefault},
+      {"-1", kDefault},
+      {"+5", kDefault},
+      {" 5", kDefault},
+      {"18446744073709551616", kDefault},
+  };
+  for (const auto& c : kCases) {
+    ASSERT_EQ(setenv("NSF_CACHE_MAX_BYTES", c.value, 1), 0);
+    EXPECT_EQ(engine::DefaultDiskCacheMaxBytes(), c.bytes) << "\"" << c.value << "\"";
+  }
+  unsetenv("NSF_CACHE_MAX_BYTES");
+  EXPECT_EQ(engine::DefaultDiskCacheMaxBytes(), kDefault);
 }
 
 TEST(RunHistory, PersistsAcrossEnginesViaCacheDir) {
