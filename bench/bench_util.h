@@ -74,7 +74,8 @@ inline std::string JsonEscape(const std::string& s) {
 inline std::string EngineStatsJson(const engine::EngineStats& s) {
   return StrFormat(
       "{\"cache_hits\":%llu,\"cache_misses\":%llu,\"compiles\":%llu,"
-      "\"compile_joins\":%llu,\"tier_warmups\":%llu,\"lock_waits\":%llu,"
+      "\"compile_joins\":%llu,\"tier_warmups\":%llu,\"profile_disk_loads\":%llu,"
+      "\"lock_waits\":%llu,"
       "\"lock_wait_seconds\":%.6f,\"compile_seconds\":%.6f,"
       "\"compile_seconds_saved\":%.6f,"
       "\"disk_hits\":%llu,\"disk_misses\":%llu,\"disk_evictions\":%llu,"
@@ -87,6 +88,7 @@ inline std::string EngineStatsJson(const engine::EngineStats& s) {
       static_cast<unsigned long long>(s.compiles),
       static_cast<unsigned long long>(s.compile_joins),
       static_cast<unsigned long long>(s.tier_warmups),
+      static_cast<unsigned long long>(s.profile_disk_loads),
       static_cast<unsigned long long>(s.lock_waits), s.lock_wait_seconds, s.compile_seconds,
       s.compile_seconds_saved, static_cast<unsigned long long>(s.disk_hits),
       static_cast<unsigned long long>(s.disk_misses),

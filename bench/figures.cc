@@ -117,7 +117,7 @@ std::string RunResultJson(const Run& r) {
       "\"cond_branches\":%llu,\"taken_branches\":%llu,\"l1i_misses\":%llu,"
       "\"l1d_misses\":%llu,\"l2_misses\":%llu,\"code_bytes\":%llu}",
       r.ok ? "true" : "false", r.validated ? "true" : "false",
-      r.cache_hit ? "true" : "false", r.outcome.seconds,
+      r.compile_info.hit ? "true" : "false", r.outcome.seconds,
       static_cast<unsigned long long>(r.outcome.counters.cycles()),
       static_cast<unsigned long long>(r.outcome.counters.instructions_retired),
       static_cast<unsigned long long>(r.outcome.counters.loads_retired),

@@ -376,15 +376,5 @@ DiskCacheStats DiskCodeCache::stats() const {
   return s;
 }
 
-void DiskCodeCache::ResetStats() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  load_failures_.store(0, std::memory_order_relaxed);
-  stores_.store(0, std::memory_order_relaxed);
-  deserialize_nanos_.store(0, std::memory_order_relaxed);
-  serialize_nanos_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace engine
 }  // namespace nsf

@@ -105,7 +105,6 @@ class DiskCodeCache {
   std::string PathForKey(uint64_t module_hash, uint64_t fingerprint) const;
 
   DiskCacheStats stats() const;
-  void ResetStats();
 
  private:
   void EvictToFit();

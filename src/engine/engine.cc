@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,9 +30,6 @@ namespace {
 // (`_ns` convention, src/telemetry/metrics.h).
 telemetry::Histogram& Hist(const char* name) {
   return *telemetry::MetricsRegistry::Global().GetHistogram(name);
-}
-telemetry::Counter& Count(const char* name) {
-  return *telemetry::MetricsRegistry::Global().GetCounter(name);
 }
 
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point t0) {
@@ -262,8 +260,6 @@ CompiledModuleRef CodeCache::GetOrCompile(uint64_t module_hash, uint64_t fingerp
   CompiledModuleRef hit = IndexLookup(shard, module_hash, fingerprint);
   if (hit != nullptr) {
     info->hit = true;
-    static telemetry::Counter& mem_hits = Count("engine.cache.mem_hit");
-    mem_hits.Add();
     static telemetry::Histogram& hit_ns = Hist("engine.cache.hit_ns");
     hit_ns.Record(ElapsedNs(t0));
     return hit;
@@ -279,14 +275,10 @@ CompiledModuleRef CodeCache::GetOrCompile(uint64_t module_hash, uint64_t fingerp
       // Another thread published this key between the index probe above and
       // this lock: serve its entry rather than compiling it again.
       info->hit = true;
-      static telemetry::Counter& mem_hits = Count("engine.cache.mem_hit");
-      mem_hits.Add();
       static telemetry::Histogram& hit_ns = Hist("engine.cache.hit_ns");
       hit_ns.Record(ElapsedNs(lock_t0));
       return entry.code;
     }
-    static telemetry::Counter& mem_misses = Count("engine.cache.mem_miss");
-    mem_misses.Add();
     if (entry.latch != nullptr) {
       latch = entry.latch;  // someone else is compiling this key right now
     } else {
@@ -353,8 +345,6 @@ CompiledModuleRef CodeCache::GetOrCompile(uint64_t module_hash, uint64_t fingerp
     if (!diag.empty()) {
       disk_.Discard(module_hash, fingerprint);
       verify_rejects_.fetch_add(1, std::memory_order_relaxed);
-      static telemetry::Counter& rejects = Count("engine.verify_reject");
-      rejects.Add();
       return nullptr;
     }
     info->hit = true;  // served from the cache — just the slower tier
@@ -465,22 +455,33 @@ bool RunHistory::Load(const std::string& path) {
   char line[1024];
   while (std::fgets(line, sizeof(line), f) != nullptr) {
     // "<runs> <total_sim_seconds> <name>" — the name last so it may contain
-    // spaces; anything that doesn't parse is skipped, never fatal.
-    char* end = nullptr;
-    unsigned long long runs = std::strtoull(line, &end, 10);
-    if (end == line || *end != ' ') {
+    // spaces. The run count is decimal digits only and > 0; the seconds are
+    // finite and >= 0. A sign, a NaN or an infinity would reach the LPT sort
+    // and the DRR costs, so any other line is skipped, never fatal.
+    const char* runs_end = std::strchr(line, ' ');
+    if (runs_end == nullptr) {
       continue;
     }
-    char* end2 = nullptr;
-    double seconds = std::strtod(end + 1, &end2);
-    if (end2 == end + 1 || *end2 != ' ') {
+    uint64_t runs = 0;
+    auto [runs_stop, runs_ec] = std::from_chars(line, runs_end, runs);
+    if (runs_ec != std::errc() || runs_stop != runs_end || runs == 0) {
       continue;
     }
-    std::string name(end2 + 1);
+    const char* seconds_end = std::strchr(runs_end + 1, ' ');
+    if (seconds_end == nullptr) {
+      continue;
+    }
+    double seconds = 0;
+    auto [seconds_stop, seconds_ec] = std::from_chars(runs_end + 1, seconds_end, seconds);
+    if (seconds_ec != std::errc() || seconds_stop != seconds_end || !std::isfinite(seconds) ||
+        seconds < 0) {
+      continue;
+    }
+    std::string name(seconds_end + 1);
     while (!name.empty() && (name.back() == '\n' || name.back() == '\r')) {
       name.pop_back();
     }
-    if (name.empty() || runs == 0) {
+    if (name.empty()) {
       continue;
     }
     Entry& e = loaded[name];
@@ -678,8 +679,7 @@ CodegenOptions Engine::TierUp(const WorkloadSpec& spec, const CodegenOptions& ba
   // warm process seeds the profile cache from disk and skips the interpreter.
   Profile profile;
   if (cache_.disk().enabled() && cache_.disk().LoadProfile(spec.name, &profile)) {
-    static telemetry::Counter& profile_loads = Count("engine.tier.profile_disk_load");
-    profile_loads.Add();
+    profile_disk_loads_.fetch_add(1, std::memory_order_relaxed);
     return PgoOptions(base, InsertProfile(spec.name, std::move(profile)));
   }
 
@@ -757,6 +757,7 @@ EngineStats Engine::Stats() const {
   s.compiles = compiles_.load(std::memory_order_relaxed);
   s.compile_joins = compile_joins_.load(std::memory_order_relaxed);
   s.tier_warmups = tier_warmups_.load(std::memory_order_relaxed);
+  s.profile_disk_loads = profile_disk_loads_.load(std::memory_order_relaxed);
   s.lock_waits = cache_.lock_waits();
   s.lock_wait_seconds = cache_.lock_wait_seconds();
   s.compile_seconds = static_cast<double>(compile_nanos_.load(std::memory_order_relaxed)) * 1e-9;
@@ -774,19 +775,6 @@ EngineStats Engine::Stats() const {
   s.tier_swaps = tier_swaps_.load(std::memory_order_relaxed);
   s.background_recompiles = background_recompiles_.load(std::memory_order_relaxed);
   return s;
-}
-
-void Engine::ResetStats() {
-  cache_hits_.store(0, std::memory_order_relaxed);
-  cache_misses_.store(0, std::memory_order_relaxed);
-  compiles_.store(0, std::memory_order_relaxed);
-  compile_joins_.store(0, std::memory_order_relaxed);
-  compile_nanos_.store(0, std::memory_order_relaxed);
-  saved_nanos_.store(0, std::memory_order_relaxed);
-  tier_swaps_.store(0, std::memory_order_relaxed);
-  background_recompiles_.store(0, std::memory_order_relaxed);
-  tier_warmups_.store(0, std::memory_order_relaxed);
-  cache_.ResetTelemetry();  // keep lock_waits + disk stats consistent with the zeros
 }
 
 // --- Session ---

@@ -196,12 +196,6 @@ class CodeCache {
   // semantic MProgram/DecodedProgram verifiers — deleted and recompiled,
   // exactly like corrupt files.
   uint64_t verify_rejects() const { return verify_rejects_.load(std::memory_order_relaxed); }
-  void ResetTelemetry() {
-    lock_waits_.store(0, std::memory_order_relaxed);
-    lock_wait_nanos_.store(0, std::memory_order_relaxed);
-    verify_rejects_.store(0, std::memory_order_relaxed);
-    disk_.ResetStats();
-  }
 
   static constexpr size_t kShards = 16;  // a power of two: ShardFor masks the hash
 
@@ -292,10 +286,11 @@ class RunHistory {
   // Persistence (NSF_CACHE_DIR/run_history via the Engine): a fresh process
   // starts with the previous process's observed means, so its FIRST LPT
   // batch already schedules by history. Text lines
-  // "<runs> <total_sim_seconds> <name>"; unparsable lines are skipped, a
-  // missing file is a clean empty table. Load MERGES into the current table
-  // (summing runs/seconds per key); Save writes atomically (tmp + rename),
-  // never writes an empty table, and reports success.
+  // "<runs> <total_sim_seconds> <name>", runs decimal digits > 0 and the
+  // seconds finite and >= 0; any other line is skipped, a missing file is a
+  // clean empty table. Load MERGES into the current table (summing
+  // runs/seconds per key); Save writes atomically (tmp + rename), never
+  // writes an empty table, and reports success.
   bool Load(const std::string& path);
   bool Save(const std::string& path) const;
   size_t size() const;
@@ -358,6 +353,7 @@ struct EngineStats {
   uint64_t compiles = 0;             // actual backend invocations
   uint64_t compile_joins = 0;        // waited on another thread's compile
   uint64_t tier_warmups = 0;         // interpreter profiling runs
+  uint64_t profile_disk_loads = 0;   // tier-up profiles read from the disk tier
   uint64_t lock_waits = 0;           // shard-lock acquisitions that blocked
   double lock_wait_seconds = 0;      // wall time blocked on shard locks
   double compile_seconds = 0;        // wall clock spent compiling
@@ -450,7 +446,6 @@ class Engine {
   void DrainTierer();
 
   EngineStats Stats() const;
-  void ResetStats();
   size_t CacheSize() const { return cache_.size(); }
   void ClearCache() { cache_.Clear(); }
 
@@ -482,6 +477,7 @@ class Engine {
   std::mutex profile_mu_;
   std::map<std::string, Profile> profiles_;
   std::atomic<uint64_t> tier_warmups_{0};  // interpreter warm-ups actually run
+  std::atomic<uint64_t> profile_disk_loads_{0};
 
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};

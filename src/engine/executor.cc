@@ -31,13 +31,8 @@ void ExecuteRequestBody(Session* session, const RunRequest& request, BatchRunRes
   // by a previous run on this worker is visible.
   session->Reset();
 
-  CompileInfo cinfo;
   CompiledModuleRef code =
-      session->engine()->CompileWorkload(request.spec, request.options, &cinfo);
-  r->cache_hit = cinfo.hit;
-  r->compiled_backend = cinfo.compiled;
-  r->disk_loaded = cinfo.disk_loaded;
-  r->compile_joined = cinfo.joined;
+      session->engine()->CompileWorkload(request.spec, request.options, &r->compile_info);
   if (!code->ok) {
     r->error = code->error;
     return;
@@ -105,7 +100,7 @@ BatchRunResult ExecuteRequest(Session* session, const RunRequest& request,
   (r.ok ? request_ok_ns : request_failed_ns).RecordSeconds(r.wall_seconds);
 
   if (span.active()) {
-    span.arg("cache_hit", r.cache_hit ? "true" : "false");
+    span.arg("cache_hit", r.compile_info.hit ? "true" : "false");
     span.arg("ok", r.ok ? "true" : "false");
     span.arg("sim_seconds", r.outcome.seconds);
   }
@@ -251,7 +246,6 @@ BatchReport ExecutorPool::Run(const std::vector<RunRequest>& requests) {
     jobs_done_ = 0;
   }
   report.wall_seconds = SecondsSince(t0);
-  report.stats_after = engine_->Stats();
   FinalizeBatchReport(&report);
   // Persist what this batch taught the run-history table. ~Engine used to be
   // the only save point, so a killed process lost every observed run; now at

@@ -9,9 +9,10 @@
 //                  the same (module, options) key trigger exactly one
 //                  backend compile.
 //   BatchReport  — per-run outcomes plus aggregates: ok/failed counts,
-//                  total simulated seconds, the schedule's simulated
-//                  makespan (max over workers), and an engine-stats
-//                  snapshot taken when the batch finished.
+//                  total simulated seconds and the schedule's simulated
+//                  makespan (max over workers). Engine-wide counts stay in
+//                  Engine::Stats(); a batch's share is the difference of
+//                  two snapshots.
 //
 // Isolation contract: a worker Reset()s its Session before every run, so no
 // staged file, fd, or kernel accounting leaks between runs — whether two
@@ -49,15 +50,11 @@ struct BatchRunResult {
   int rep = 0;
   int worker = 0;
   bool ok = false;
-  bool cache_hit = false;  // compile was served from the engine's code cache
-  // Per-run compile attribution (CompileInfo, engine.h): whether THIS run
-  // paid a backend compile, deserialized the artifact from the disk tier, or
-  // blocked on another worker's in-flight compile. The serving layer
-  // (src/engine/serving.h) uses these to attribute tail latency to the cold
-  // event that caused it.
-  bool compiled_backend = false;
-  bool disk_loaded = false;
-  bool compile_joined = false;
+  // Where THIS run's code came from (engine.h): a cache hit, a backend
+  // compile, a disk-tier load, or a join on another worker's in-flight
+  // compile. The serving layer (src/engine/serving.h) reads it to attribute
+  // tail latency to the cold event behind it.
+  CompileInfo compile_info;
   std::string error;
   RunOutcome outcome;
   CompileStats compile;  // stats of the (possibly cached) compiled module
@@ -89,7 +86,6 @@ struct BatchReport {
   std::vector<double> worker_sim_seconds;  // indexed by worker; OK runs only
   // How many requests had observed run history (the rest estimate 0).
   uint64_t lpt_observed_requests = 0;
-  EngineStats stats_after;  // engine snapshot when the batch finished
 
   bool all_ok() const { return failed_runs == 0; }
 };

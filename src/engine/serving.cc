@@ -39,13 +39,6 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-telemetry::Histogram& GlobalHist(const char* name) {
-  return *telemetry::MetricsRegistry::Global().GetHistogram(name);
-}
-telemetry::Counter& GlobalCount(const char* name) {
-  return *telemetry::MetricsRegistry::Global().GetCounter(name);
-}
-
 }  // namespace
 
 const char* ArrivalKindName(ArrivalKind kind) {
@@ -252,8 +245,8 @@ struct ServingLoop::LoopState {
     size_t tenant = 0;
   };
   std::vector<Arrival> schedule;
-  // Private registry: one Run()'s histograms, isolated from the process-wide
-  // registry (which still receives the aggregate serving.* instruments).
+  // Private registry: one Run()'s per-tenant histograms, which each
+  // TenantReport snapshots. No global instrument copies them.
   telemetry::MetricsRegistry registry;
 };
 
@@ -266,9 +259,6 @@ ServingLoop::ServingLoop(Engine* engine, ServingConfig config)
 
 void ServingLoop::GeneratorMain(LoopState* loop) {
   telemetry::TraceRecorder::Global().SetThreadName("serving-generator");
-  static telemetry::Counter& offered_count = GlobalCount("serving.offered");
-  static telemetry::Counter& admitted_count = GlobalCount("serving.admitted");
-  static telemetry::Counter& shed_count = GlobalCount("serving.shed");
 
   const bool flush_enabled =
       config_.flush_period_seconds > 0 && !engine_->RunHistoryPath().empty();
@@ -295,18 +285,15 @@ void ServingLoop::GeneratorMain(LoopState* loop) {
     {
       std::lock_guard<std::mutex> lock(loop->mu);
       ts.offered++;
-      offered_count.Add();
       // Admission control: fast-reject BEFORE queueing, so a shed request
       // costs the client one check instead of a queue slot and a timeout.
       if (loop->queue.depth(arrival.tenant) >= cfg.max_queue_depth) {
         ts.shed_queue++;
-        shed_count.Add();
       } else if (cfg.p99_slo_seconds > 0 &&
                  ts.e2e_ns->count() >= config_.slo_min_samples &&
                  ts.e2e_ns->Percentile(0.99) >
                      static_cast<uint64_t>(cfg.p99_slo_seconds * 1e9)) {
         ts.shed_slo++;
-        shed_count.Add();
       } else {
         DrrItem item;
         item.tenant = arrival.tenant;
@@ -328,7 +315,6 @@ void ServingLoop::GeneratorMain(LoopState* loop) {
         }
         loop->queue.Push(item);
         ts.admitted++;
-        admitted_count.Add();
         enqueued = true;
       }
     }
@@ -348,15 +334,11 @@ void ServingLoop::GeneratorMain(LoopState* loop) {
 
 void ServingLoop::WorkerMain(LoopState* loop, int worker_index) {
   telemetry::TraceRecorder::Global().SetThreadName(StrFormat("serve-%d", worker_index));
-  static telemetry::Histogram& g_queue_ns = GlobalHist("serving.queue_ns");
-  static telemetry::Histogram& g_service_ns = GlobalHist("serving.service_ns");
-  static telemetry::Histogram& g_e2e_ns = GlobalHist("serving.e2e_ns");
 
   // Constructing the Session registers this thread's epoch slot with the
   // EBR domain: warm code-cache hits on the serve path are wait-free from
   // the first request.
   Session session(engine_);
-  static telemetry::Counter& deadline_pops = GlobalCount("serving.deadline_pops");
   for (;;) {
     DrrItem item;
     bool deadline_dispatch = false;
@@ -382,9 +364,6 @@ void ServingLoop::WorkerMain(LoopState* loop, int worker_index) {
       }
       loop->inflight++;
     }
-    if (deadline_dispatch) {
-      deadline_pops.Add();
-    }
 
     TenantState& ts = loop->tenants[item.tenant];
     const TenantConfig& cfg = *ts.config;
@@ -403,9 +382,7 @@ void ServingLoop::WorkerMain(LoopState* loop, int worker_index) {
     rec.queue_seconds = std::max(0.0, dispatch_seconds - item.enqueue_seconds);
     rec.service_seconds = std::max(0.0, complete_seconds - dispatch_seconds);
     rec.e2e_seconds = std::max(0.0, complete_seconds - item.enqueue_seconds);
-    rec.cold_compile = result.compiled_backend;
-    rec.compile_join = result.compile_joined;
-    rec.disk_load = result.disk_loaded;
+    rec.compile_info = result.compile_info;
     rec.deadline_dispatch = deadline_dispatch;
 
     {
@@ -416,16 +393,13 @@ void ServingLoop::WorkerMain(LoopState* loop, int worker_index) {
       } else {
         ts.failed++;
       }
-      ts.cold_compiles += rec.cold_compile ? 1 : 0;
-      ts.compile_joins += rec.compile_join ? 1 : 0;
-      ts.disk_loads += rec.disk_load ? 1 : 0;
+      ts.cold_compiles += rec.compile_info.compiled ? 1 : 0;
+      ts.compile_joins += rec.compile_info.joined ? 1 : 0;
+      ts.disk_loads += rec.compile_info.disk_loaded ? 1 : 0;
       ts.deadline_dispatches += rec.deadline_dispatch ? 1 : 0;
       ts.queue_ns->RecordSeconds(rec.queue_seconds);
       ts.service_ns->RecordSeconds(rec.service_seconds);
       ts.e2e_ns->RecordSeconds(rec.e2e_seconds);
-      g_queue_ns.RecordSeconds(rec.queue_seconds);
-      g_service_ns.RecordSeconds(rec.service_seconds);
-      g_e2e_ns.RecordSeconds(rec.e2e_seconds);
       // Keep the tenant's worst tail, attribution attached.
       ts.slowest.push_back(rec);
       std::sort(ts.slowest.begin(), ts.slowest.end(),

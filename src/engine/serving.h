@@ -180,10 +180,9 @@ struct ServedRequest {
   double queue_seconds = 0;     // enqueue -> dispatch
   double service_seconds = 0;   // dispatch -> complete
   double e2e_seconds = 0;       // enqueue -> complete
-  // Tail-event attribution: what this request stalled on (CompileInfo).
-  bool cold_compile = false;  // paid a backend compile
-  bool compile_join = false;  // blocked on another worker's compile
-  bool disk_load = false;     // paid a disk-tier artifact deserialization
+  // Tail-event attribution: what this request stalled on, if anything — a
+  // backend compile, a join on another worker's compile, a disk-tier load.
+  CompileInfo compile_info;
   bool deadline_dispatch = false;  // served out of DRR order by PopUrgent
 };
 

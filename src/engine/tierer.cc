@@ -6,7 +6,6 @@
 
 #include "src/engine/ebr.h"
 #include "src/profile/tier.h"
-#include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
 
 namespace nsf {
@@ -158,9 +157,6 @@ bool BackgroundTierer::TierOne(const Watched& w) {
   swap_span.arg("profile", tiered_code->profile_name());
   engine_->cache().Republish(w.module_hash, w.fingerprint, tiered_code);
   engine_->tier_swaps_.fetch_add(1, std::memory_order_relaxed);
-  static telemetry::Counter& swaps =
-      *telemetry::MetricsRegistry::Global().GetCounter("engine.tier_swaps");
-  swaps.Add();
   return true;
 }
 

@@ -97,16 +97,6 @@ Histogram::Snapshot Histogram::TakeSnapshot() const {
   return s;
 }
 
-void Histogram::Reset() {
-  for (auto& b : buckets_) {
-    b.store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(UINT64_MAX, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
-
 // --- MetricsRegistry ---
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -181,19 +171,6 @@ std::string MetricsRegistry::DumpJson() const {
   }
   out += "}}";
   return out;
-}
-
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) {
-    c->Reset();
-  }
-  for (auto& [name, g] : gauges_) {
-    g->Reset();
-  }
-  for (auto& [name, h] : histograms_) {
-    h->Reset();
-  }
 }
 
 size_t MetricsRegistry::size() const {

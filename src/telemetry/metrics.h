@@ -15,16 +15,21 @@
 // Usage pattern at an instrumentation site (the lookup happens once, the hot
 // path is only the atomic ops):
 //
-//   static telemetry::Counter& hits =
-//       *telemetry::MetricsRegistry::Global().GetCounter("engine.cache.hit");
-//   hits.Add();
+//   static telemetry::Counter& retired =
+//       *telemetry::MetricsRegistry::Global().GetCounter("ebr.retired");
+//   retired.Add();
+//
+// A count the engine owns lives with its owner (EngineStats, TenantReport),
+// never here as well: the registry keeps distributions and the counts of
+// events no engine owns. A histogram's sample count is not a count.
 //
 // Time histograms record NANOSECONDS by convention and carry a `_ns` name
 // suffix; Histogram itself is unit-agnostic over uint64 values.
 //
 // Thread safety: registration takes a mutex (once per site); instrument
 // pointers are stable for the registry's lifetime; all recording is
-// lock-free atomics. Reset() zeroes values but never invalidates pointers.
+// lock-free atomics. Nothing is ever zeroed: a phase's count is the
+// difference of two readings.
 #ifndef SRC_TELEMETRY_METRICS_H_
 #define SRC_TELEMETRY_METRICS_H_
 
@@ -44,7 +49,6 @@ class Counter {
   void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   const std::string& name() const { return name_; }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   friend class MetricsRegistry;
@@ -68,7 +72,6 @@ class Gauge {
     return v;
   }
   const std::string& name() const { return name_; }
-  void Reset() { Set(0.0); }
 
  private:
   friend class MetricsRegistry;
@@ -121,7 +124,6 @@ class Histogram {
   Snapshot TakeSnapshot() const;
 
   const std::string& name() const { return name_; }
-  void Reset();
 
   // Bucket mapping, exposed for tests: index for a value, and the
   // representative (midpoint) value reported for that bucket.
@@ -162,10 +164,6 @@ class MetricsRegistry {
   // p50,p90,p99,p999}}} — keys sorted by name (std::map iteration order), so
   // the shape is deterministic even though the values are live.
   std::string DumpJson() const;
-
-  // Zeroes every registered instrument (pointers stay valid). Benches use
-  // this to scope the telemetry block to one phase.
-  void Reset();
 
   size_t size() const;
 

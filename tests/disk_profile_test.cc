@@ -132,6 +132,7 @@ TEST(DiskProfile, WarmProcessSkipsInterpreterWarmup) {
     ASSERT_NE(tiered.profile, nullptr) << error;
     // The cold process runs the interpreter warm-up...
     EXPECT_EQ(eng.Stats().tier_warmups, 1u);
+    EXPECT_EQ(eng.Stats().profile_disk_loads, 0u);
     cold_entry_count = tiered.profile->func(0).entry_count;
     // ...and persists what it learned next to the code artifacts.
     EXPECT_TRUE(fs::exists(eng.cache().disk().ProfilePathForName(spec.name)));
@@ -144,6 +145,7 @@ TEST(DiskProfile, WarmProcessSkipsInterpreterWarmup) {
   ASSERT_NE(tiered.profile, nullptr) << error;
   // The warm process loads the profile from disk instead.
   EXPECT_EQ(eng2.Stats().tier_warmups, 0u);
+  EXPECT_EQ(eng2.Stats().profile_disk_loads, 1u);
   EXPECT_EQ(tiered.profile->func(0).entry_count, cold_entry_count);
   EXPECT_EQ(tiered.profile_name, base.profile_name + "+pgo");
 }

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -435,9 +436,14 @@ TEST(ExecutorPool, LptSchedulesByObservedSeconds) {
   EXPECT_EQ(eng.history().ObservedSeconds("never_run"), 0.0);
 
   // Queue order: small first. Under LPT with ONE worker, the big job must
-  // execute first (its run finishes earlier in the worker's timeline).
-  // Wall-clock start order is observable through per-worker accumulation:
-  // with 1 worker, runs execute in dispatch order.
+  // execute first. Each run's setup records its name as the worker starts
+  // it; the one worker is the only writer.
+  std::vector<std::string> dispatched;
+  for (WorkloadSpec* spec : {&small, &big}) {
+    spec->setup = [&dispatched, name = spec->name](BrowsixKernel&) {
+      dispatched.push_back(name);
+    };
+  }
   engine::RunRequest small_req;
   small_req.spec = small;
   small_req.options = CodegenOptions::ChromeV8();
@@ -449,6 +455,7 @@ TEST(ExecutorPool, LptSchedulesByObservedSeconds) {
   engine::BatchReport lpt = pool.Run({small_req, big_req});
   ASSERT_TRUE(lpt.all_ok());
   EXPECT_EQ(lpt.lpt_observed_requests, 2u);
+  EXPECT_EQ(dispatched, (std::vector<std::string>{"lpt_big", "lpt_small"}));
   // Results stay (request_index, rep)-ordered even though dispatch reordered.
   ASSERT_EQ(lpt.runs.size(), 2u);
   EXPECT_EQ(lpt.runs[0].request_index, 0u);
@@ -561,9 +568,9 @@ TEST(ExecutorPool, BatchReportAggregatesCountersAndSchedule) {
   }
 
   // Engine-side accounting across the batch: one compile, the rest hits.
-  engine::EngineStats delta = report.stats_after;  // engine was fresh
-  EXPECT_EQ(delta.compiles, 1u);
-  EXPECT_EQ(delta.cache_hits + delta.cache_misses, 6u);
+  engine::EngineStats stats = eng.Stats();  // the engine ran only this batch
+  EXPECT_EQ(stats.compiles, 1u);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 6u);
 }
 
 TEST(ExecutorPool, OneWorkerRunsTheBatchSerially) {

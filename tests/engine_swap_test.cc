@@ -27,8 +27,8 @@ namespace {
 }();
 
 // main(): a no-arg hot loop (warm-up collectable via CallExport(entry, {}))
-// returning a checksum.
-Module LoopModule(int32_t iters) {
+// returning a checksum, or trapping on `unreachable` once the loop is done.
+Module LoopModule(int32_t iters, bool trap_at_end = false) {
   ModuleBuilder mb("loop");
   auto& f = mb.AddFunction("main", {}, {ValType::kI32});
   uint32_t acc = f.AddLocal(ValType::kI32);
@@ -37,7 +37,11 @@ Module LoopModule(int32_t iters) {
   f.ForI32(i, 0, iters, 1, [&] {
     f.LocalGet(acc).I32Const(3).I32Mul().LocalGet(i).I32Add().LocalSet(acc);
   });
-  f.LocalGet(acc);
+  if (trap_at_end) {
+    f.Unreachable();
+  } else {
+    f.LocalGet(acc);
+  }
   return mb.Build();
 }
 
@@ -239,6 +243,44 @@ TEST(BackgroundTierer, SamplesDriveRecompileAndSwap) {
   eng.CompileWorkload(spec, base_opts);
   eng.DrainTierer();
   EXPECT_EQ(eng.Stats().tier_swaps, 1u);
+}
+
+// A module whose warm-up traps still tiers: TierOne falls back to the
+// profile its samples imply, inserted as "<workload>#sampled", and swaps the
+// recompiled code in under the base key.
+TEST(BackgroundTierer, FailedWarmupFallsBackToSampledProfile) {
+  engine::EngineConfig config;
+  config.cache_dir = "";
+  config.sample_period = 16;
+  config.background_tiering = true;
+  engine::Engine eng(config);
+
+  WorkloadSpec spec;
+  spec.name = "bg_trap";
+  spec.build = [] { return LoopModule(20000, /*trap_at_end=*/true); };
+  engine::CompiledModuleRef base = eng.CompileWorkload(spec, CodegenOptions::ChromeV8());
+  ASSERT_TRUE(base->ok) << base->error;
+
+  // The run traps after its 20000 back-edges, which already crossed the
+  // sample threshold; the samples reach the sink all the same.
+  engine::Session session(&eng);
+  engine::RunOutcome cold = RunCode(&session, base);
+  ASSERT_FALSE(cold.ok);
+
+  eng.DrainTierer();
+  engine::EngineStats stats = eng.Stats();
+  EXPECT_EQ(stats.tier_warmups, 1u);  // the warm-up ran, and trapped
+  EXPECT_EQ(stats.background_recompiles, 1u);
+  EXPECT_EQ(stats.tier_swaps, 1u);
+
+  engine::CompiledModuleRef now =
+      eng.cache().Lookup(base->module_hash(), base->fingerprint());
+  ASSERT_NE(now, nullptr);
+  EXPECT_EQ(now->profile_name(), "chrome-v8+pgo");
+  // The tiered code keeps the module's semantics: it traps the same way.
+  engine::RunOutcome warm = RunCode(&session, now);
+  EXPECT_FALSE(warm.ok);
+  EXPECT_EQ(warm.error, cold.error);
 }
 
 TEST(BackgroundTierer, ColdModulesAreNeverTiered) {

@@ -826,12 +826,20 @@ TEST(RunHistory, UnparsableLinesAreSkippedNeverFatal) {
   fputs("12\n", f);                  // truncated
   fputs("0 1.0 zero-runs-key\n", f); // zero runs: skipped
   fputs("5 nan-ish\n", f);           // no name field
+  // A run count with a sign, and seconds that are not a finite number >= 0:
+  // each would reach the LPT sort and the DRR costs as a bogus mean.
+  fputs("-1 5.0 x\n", f);
+  fputs("+3 1.0 x\n", f);
+  fputs("1 nan x\n", f);
+  fputs("1 inf x\n", f);
+  fputs("1 -2.5 x\n", f);
   fclose(f);
   engine::RunHistory history;
   EXPECT_TRUE(history.Load(path));
   EXPECT_EQ(history.size(), 1u);
   EXPECT_EQ(history.ObservedRuns("lu"), 3u);
   EXPECT_DOUBLE_EQ(history.ObservedSeconds("lu"), 0.25);
+  EXPECT_EQ(history.ObservedRuns("x"), 0u);
 }
 
 TEST(RunHistory, DisabledWithoutCacheDir) {

@@ -379,7 +379,7 @@ TEST(TierUpTest, TieredRunValidatesAndDoesNotRegress) {
   uint64_t compiles = eng.Stats().compiles;
   engine::BatchRunResult again = engine::ExecuteRequest(&session, {spec, tiered}, 0, 0, 0);
   ASSERT_TRUE(again.ok);
-  EXPECT_TRUE(again.cache_hit);
+  EXPECT_TRUE(again.compile_info.hit);
   EXPECT_EQ(eng.Stats().compiles, compiles);
 }
 

@@ -22,17 +22,6 @@
 namespace nsf {
 namespace {
 
-// Tests that inspect percentiles/counts need instruments no other test (or
-// the engine's own instrumentation) writes to; unique names give each test a
-// private instrument inside the shared global registry.
-telemetry::Histogram& FreshHistogram(const std::string& tag) {
-  telemetry::Histogram* h =
-      telemetry::MetricsRegistry::Global().GetHistogram("test." + tag + ".hist");
-  EXPECT_NE(h, nullptr);
-  h->Reset();
-  return *h;
-}
-
 TEST(Histogram, ExactBucketsBelowTheLogRange) {
   // Values below 2*kSubCount land in exact buckets and report themselves.
   for (uint64_t v = 0; v < 2 * telemetry::Histogram::kSubCount; v++) {
@@ -67,7 +56,8 @@ TEST(Histogram, BucketMappingIsMonotoneAndMidpointsLandInTheirBucket) {
 
 TEST(Histogram, PercentilesTrackExactQuantilesWithinBucketError) {
   // Log-normal-ish latencies: exercise several octaves at once.
-  telemetry::Histogram& h = FreshHistogram("quantiles");
+  telemetry::MetricsRegistry reg;  // private registry: no other writer
+  telemetry::Histogram& h = *reg.GetHistogram("quantiles");
   std::mt19937_64 rng(42);
   std::vector<uint64_t> values;
   for (int i = 0; i < 20000; i++) {
@@ -95,7 +85,8 @@ TEST(Histogram, PercentilesTrackExactQuantilesWithinBucketError) {
 }
 
 TEST(Histogram, SmallExactDistributionsReportExactPercentiles) {
-  telemetry::Histogram& h = FreshHistogram("exact");
+  telemetry::MetricsRegistry reg;
+  telemetry::Histogram& h = *reg.GetHistogram("exact");
   for (uint64_t v = 1; v <= 10; v++) {
     h.Record(v);  // values < 16: exact buckets
   }
@@ -107,15 +98,14 @@ TEST(Histogram, SmallExactDistributionsReportExactPercentiles) {
   EXPECT_EQ(h.sum(), 55u);
 }
 
-TEST(Histogram, EmptyAndResetReportZeros) {
-  telemetry::Histogram& h = FreshHistogram("empty");
+TEST(Histogram, EmptyReportsZeros) {
+  telemetry::MetricsRegistry reg;
+  const telemetry::Histogram& h = *reg.GetHistogram("empty");
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Percentile(0.5), 0u);
-  EXPECT_EQ(h.min(), 0u);
-  h.Record(100);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Percentile(0.99), 0u);
+  EXPECT_EQ(h.min(), 0u);
+  EXPECT_EQ(h.max(), 0u);
 }
 
 TEST(Registry, NamesRegisterOneKindAndPointersAreStable) {
@@ -126,8 +116,7 @@ TEST(Registry, NamesRegisterOneKindAndPointersAreStable) {
   EXPECT_EQ(reg.GetGauge("k"), nullptr);       // cross-kind conflict
   EXPECT_EQ(reg.GetHistogram("k"), nullptr);
   c->Add(3);
-  reg.Reset();
-  EXPECT_EQ(c->value(), 0u);  // zeroed, pointer still valid
+  EXPECT_EQ(reg.GetCounter("k")->value(), 3u);  // same instrument, same count
   EXPECT_EQ(reg.size(), 1u);
 }
 
