@@ -1,7 +1,5 @@
 #include "src/codegen/artifact.h"
 
-#include "src/profile/profile.h"
-#include "src/support/str.h"
 #include "src/wasm/encoder.h"
 
 namespace nsf {
@@ -9,21 +7,10 @@ namespace nsf {
 CompiledArtifact BuildArtifact(const Module& module, const CodegenOptions& options,
                                uint64_t module_hash, uint64_t options_fingerprint) {
   CompiledArtifact artifact;
-  artifact.module = module;
   artifact.module_hash = module_hash;
   artifact.options_fingerprint = options_fingerprint;
   artifact.profile_name = options.profile_name;
-  // The tier tag mirrors Fingerprint()'s notion of an active profile: a
-  // profile nothing consumes leaves the artifact baseline.
-  bool pgo_active = options.profile != nullptr &&
-                    (options.pgo_layout || options.pgo_rotate_hot_loops ||
-                     options.devirtualize_monomorphic);
-  if (pgo_active) {
-    artifact.tier = CompileTier::kProfiled;
-    std::vector<uint8_t> pbytes = options.profile->SerializeBinary();
-    artifact.profile_fingerprint = Fnv1a(pbytes.data(), pbytes.size());
-  }
-  artifact.compiled = CompileModule(artifact.module, options);
+  artifact.compiled = CompileModule(module, options);
   return artifact;
 }
 

@@ -1,8 +1,10 @@
 // CompiledArtifact: the compilation pipeline's product as ONE self-contained,
-// relocatable value — the module (for import binding and export lookup), the
-// compiled MProgram with its layout order and per-function frame metadata,
-// the compile statistics, and the provenance needed for content-addressed
-// caching (module hash, options fingerprint, tier tag, profile fingerprint).
+// relocatable value — the compiled MProgram with its layout order and
+// per-function frame metadata, the compile statistics, the module's
+// interface (function import names and function exports), and the cache key
+// (module hash, options fingerprint) with the profile name. It keeps no copy
+// of the Wasm module: binding imports and looking up exports need only the
+// interface.
 //
 // "Relocatable" means nothing in the artifact depends on where code was
 // linked: code_base / instr_offsets / total_code_bytes are assigned by
@@ -21,33 +23,21 @@
 
 namespace nsf {
 
-// Compilation tier the artifact was produced at.
-enum class CompileTier : uint8_t {
-  kBaseline = 0,  // no profile consumed
-  kProfiled = 1,  // PGO recompilation (a profile fed at least one pgo pass)
-};
-
 struct CompiledArtifact {
-  Module module;                     // retained for imports + export lookup
-  uint64_t module_hash = 0;          // HashModule(module)
+  uint64_t module_hash = 0;          // HashModule of the compiled module
   uint64_t options_fingerprint = 0;  // CodegenOptions::Fingerprint()
   std::string profile_name;          // cosmetic label at compile time
-  CompileTier tier = CompileTier::kBaseline;
-  // FNV-1a over the consumed profile's binary serialization; 0 when the
-  // artifact is baseline. Lets cache consumers audit which profile produced
-  // a tiered artifact without deserializing the profile itself.
-  uint64_t profile_fingerprint = 0;
-  CompileResult compiled;            // program, stats, func_map, import_hooks
+  CompileResult compiled;            // program, stats, import names, exports
 
   bool ok() const { return compiled.ok; }
   const MProgram& program() const { return compiled.program; }
   const CompileStats& stats() const { return compiled.stats; }
 };
 
-// Compiles `module` (assumed validated) under `options` into an artifact,
-// filling every provenance field. `module_hash` / `options_fingerprint` are
-// accepted precomputed because every caller (the Engine's code cache) already
-// derived them to form the cache key.
+// Compiles `module` (assumed validated) under `options` into an artifact.
+// `module_hash` / `options_fingerprint` are accepted precomputed because
+// every caller (the Engine's code cache) already derived them to form the
+// cache key.
 CompiledArtifact BuildArtifact(const Module& module, const CodegenOptions& options,
                                uint64_t module_hash, uint64_t options_fingerprint);
 

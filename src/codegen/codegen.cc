@@ -176,6 +176,15 @@ MFunction BuildImportStub(uint32_t import_index, const FuncType& sig, const std:
 
 }  // namespace
 
+const FuncExport* CompileResult::FindExport(const std::string& name) const {
+  for (const FuncExport& e : exports) {
+    if (e.name == name) {
+      return &e;
+    }
+  }
+  return nullptr;
+}
+
 CompileResult CompileModule(const Module& module, const CodegenOptions& options) {
   auto t0 = std::chrono::steady_clock::now();
   CompileResult result;
@@ -199,7 +208,7 @@ CompileResult CompileModule(const Module& module, const CodegenOptions& options)
     }
     prog.funcs.push_back(
         BuildImportStub(import_seen, module.types[imp.type_index], imp.module + "." + imp.name));
-    result.import_hooks.push_back(import_seen);
+    result.import_names.push_back(imp.name);
     import_seen++;
   }
 
@@ -402,9 +411,10 @@ CompileResult CompileModule(const Module& module, const CodegenOptions& options)
     }
   }
 
-  result.func_map.resize(module.NumTotalFuncs());
-  for (uint32_t i = 0; i < result.func_map.size(); i++) {
-    result.func_map[i] = i;
+  for (const Export& e : module.exports) {
+    if (e.kind == ExternalKind::kFunc) {
+      result.exports.push_back({e.name, e.index});
+    }
   }
 
   auto t1 = std::chrono::steady_clock::now();

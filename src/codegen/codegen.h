@@ -113,16 +113,27 @@ struct CompileStats {
   uint64_t code_bytes = 0;
 };
 
+// A function export. MProgram function indices equal joint Wasm function
+// indices, so `func_index` is also the function to run.
+struct FuncExport {
+  std::string name;
+  uint32_t func_index = 0;
+  bool operator==(const FuncExport&) const = default;
+};
+
 struct CompileResult {
   bool ok = false;
   std::string error;
   MProgram program;
   CompileStats stats;
-  // Joint wasm function index -> MProgram function index (identity here, but
-  // kept explicit for callers).
-  std::vector<uint32_t> func_map;
-  // Host-hook index for each imported function, in import order.
-  std::vector<uint32_t> import_hooks;
+  // The module's interface, all an embedder needs besides the program: the
+  // field name of each function import, in import order (import i calls
+  // host hook i), and the function exports, in module order.
+  std::vector<std::string> import_names;
+  std::vector<FuncExport> exports;
+
+  // The function exported as `name`, or null.
+  const FuncExport* FindExport(const std::string& name) const;
 };
 
 // Compiles a validated module. Imported functions become stub MFunctions

@@ -840,10 +840,6 @@ std::string VerifyMachine(const MProgram& prog) {
       seen[v] = true;
     }
   }
-  if (!prog.funcs.empty() && prog.entry_func >= prog.funcs.size()) {
-    return StrFormat("entry_func %u out of range (%zu functions)", prog.entry_func,
-                     prog.funcs.size());
-  }
   for (size_t t = 0; t < prog.table.size(); t++) {
     const MProgram::TableEntry& e = prog.table[t];
     if (e.func_index != UINT32_MAX && e.func_index >= prog.funcs.size()) {

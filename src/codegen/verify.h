@@ -48,7 +48,7 @@ std::string VerifyIR(const VFunc& vf, const Module& module);
 std::string VerifyMachineFunction(const MProgram& prog, size_t func_index);
 
 // Whole-program check: every function plus program-level invariants
-// (layout_order permutation, entry/table/global/data bounds).
+// (layout_order permutation, table/global/data bounds).
 std::string VerifyMachine(const MProgram& prog);
 
 // The machine dataflow's register-state mask has one bit per GPR (bit g),

@@ -740,7 +740,7 @@ void Engine::WatchForTierUp(const CompiledModuleRef& code, const WorkloadSpec& s
   }
   std::shared_ptr<SampledProfile> sampler = SamplerFor(code);
   if (sampler != nullptr) {
-    tierer_->Watch(code, spec, base, std::move(sampler));
+    tierer_->Watch(code->module_hash(), code->fingerprint(), spec, base, std::move(sampler));
   }
 }
 
@@ -799,7 +799,7 @@ std::unique_ptr<Instance> Session::Instantiate(CompiledModuleRef code,
     }
     return nullptr;
   }
-  const Export* entry = code->module().FindExport(options.entry, ExternalKind::kFunc);
+  const FuncExport* entry = code->compiled().FindExport(options.entry);
   if (entry == nullptr) {
     if (error != nullptr) {
       *error = "no entry export " + options.entry;
@@ -807,7 +807,7 @@ std::unique_ptr<Instance> Session::Instantiate(CompiledModuleRef code,
     return nullptr;
   }
   std::unique_ptr<Instance> inst(
-      new Instance(this, std::move(code), std::move(options), entry->index));
+      new Instance(this, std::move(code), std::move(options), entry->func_index));
   // Resolve the module's sampling sink once per Instance, not per run (null
   // unless EngineConfig::sample_period is set).
   inst->sampler_ = engine_->SamplerFor(inst->code_);
@@ -819,13 +819,13 @@ std::unique_ptr<Instance> Session::Instantiate(CompiledModuleRef code,
 RunOutcome Instance::Run() { return RunAtIndex(entry_index_, {}); }
 
 RunOutcome Instance::RunExport(const std::string& name, const std::vector<uint64_t>& args) {
-  const Export* e = code_->module().FindExport(name, ExternalKind::kFunc);
+  const FuncExport* e = code_->compiled().FindExport(name);
   if (e == nullptr) {
     RunOutcome out;
     out.error = "no entry export " + name;
     return out;
   }
-  return RunAtIndex(e->index, args);
+  return RunAtIndex(e->func_index, args);
 }
 
 RunOutcome Instance::RunAtIndex(uint32_t func_index, const std::vector<uint64_t>& args) {
@@ -848,7 +848,7 @@ RunOutcome Instance::RunAtIndex(uint32_t func_index, const std::vector<uint64_t>
   }
   MachineMemPort port(&machine);
   auto process = session_->kernel().CreateProcess(&port, options_.argv);
-  BindSyscalls(&machine, code_->compiled(), code_->module(), process.get());
+  BindSyscalls(&machine, code_->compiled(), process.get());
 
   // Stack-args ABI: args staged below the stack top, rsp as if just called.
   uint64_t args_base = kStackBase + kStackSize - 8 * args.size();

@@ -94,11 +94,9 @@ struct CompiledModule {
   }
   const DecodedProgram* decoded_program() const { return decoded.get(); }
 
-  const Module& module() const { return artifact.module; }
   uint64_t module_hash() const { return artifact.module_hash; }
   uint64_t fingerprint() const { return artifact.options_fingerprint; }
   const std::string& profile_name() const { return artifact.profile_name; }
-  CompileTier tier() const { return artifact.tier; }
   const CompileResult& compiled() const { return artifact.compiled; }
   const MProgram& program() const { return artifact.compiled.program; }
   const CompileStats& stats() const { return artifact.compiled.stats; }
@@ -401,13 +399,13 @@ class Engine {
   // The run_history file path for this engine's cache_dir ("" when disabled).
   std::string RunHistoryPath() const;
 
-  // Compile-or-fetch. On a miss the CompiledModule retains a copy of the
-  // module for import binding and export lookup; a hit copies nothing.
-  // Never returns null — check (*result).ok. Failed compiles are not cached.
-  // *info (optional) reports whether THIS call hit (either tier, including
-  // joining another thread's in-flight compile), joined, ran the backend
-  // compiler, or deserialized the artifact from disk — per-call truth,
-  // unlike diffing Stats() which races under concurrency.
+  // Compile-or-fetch. The CompiledModule keeps no copy of `module`: its
+  // artifact carries the import names and exports that binding and export
+  // lookup read. Never returns null — check (*result).ok. Failed compiles
+  // are not cached. *info (optional) reports whether THIS call hit (either
+  // tier, including joining another thread's in-flight compile), joined,
+  // ran the backend compiler, or deserialized the artifact from disk —
+  // per-call truth, unlike diffing Stats() which races under concurrency.
   CompiledModuleRef Compile(const Module& module, const CodegenOptions& options,
                             CompileInfo* info = nullptr);
 

@@ -122,30 +122,52 @@ bool DrrQueue::Pop(DrrItem* out) {
   if (total_ == 0) {
     return false;
   }
-  // Each full rotation credits every backlogged tenant one quantum, so some
-  // deficit eventually covers its head cost: guaranteed progress. A tenant
-  // keeps serving (cursor parked) while its deficit lasts — that is what
-  // makes service share proportional to quanta.
-  for (;;) {
-    Queue& q = queues_[cursor_];
+  // The rotation, computed instead of walked: each visit to a backlogged
+  // tenant either serves its head, if its deficit covers the head's cost, or
+  // credits one quantum and moves on, and a tenant keeps serving (cursor
+  // parked) while its deficit lasts, which is what makes service share
+  // proportional to quanta. Walking it visit by visit costs rounds in
+  // proportion to cost / quantum, unbounded for a huge finite cost, and once
+  // a deficit passes about 2^53 quanta one credit no longer changes it. So
+  // count, per backlogged tenant, the rotations it still needs; the first
+  // tenant in cursor order with the fewest is the one the walk serves. An
+  // idle queue's deficit is already 0: emptying a queue forfeits it.
+  const size_t n = queues_.size();
+  size_t served = n;  // offset from the cursor
+  double rounds = 0;
+  for (size_t j = 0; j < n; j++) {
+    const size_t t = (cursor_ + j) % n;
+    const Queue& q = queues_[t];
     if (q.items.empty()) {
-      q.deficit = 0;  // no banking credit while idle
-      cursor_ = (cursor_ + 1) % queues_.size();
       continue;
     }
-    if (q.deficit >= q.items.front().cost) {
-      *out = q.items.front();
-      q.items.pop_front();
-      q.deficit -= out->cost;
-      if (q.items.empty()) {
-        q.deficit = 0;
-      }
-      total_--;
-      return true;
+    const double cost = q.items.front().cost;
+    const double need = q.deficit >= cost ? 0 : std::ceil((cost - q.deficit) / quanta_[t]);
+    if (served == n || need < rounds) {
+      served = j;
+      rounds = need;
     }
-    q.deficit += quanta_[cursor_];
-    cursor_ = (cursor_ + 1) % queues_.size();
   }
+  // Every backlogged tenant is credited once per skipped rotation, and those
+  // the final rotation passed before reaching the served one once more.
+  for (size_t j = 0; j < n; j++) {
+    const size_t t = (cursor_ + j) % n;
+    if (!queues_[t].items.empty()) {
+      queues_[t].deficit += (j < served ? rounds + 1 : rounds) * quanta_[t];
+    }
+  }
+  cursor_ = (cursor_ + served) % n;
+  Queue& q = queues_[cursor_];
+  *out = q.items.front();
+  q.items.pop_front();
+  // A credit computed in one step can round a hair short of the cost it was
+  // computed to cover; the deficit then drops to 0, never below.
+  q.deficit = std::max(q.deficit, out->cost) - out->cost;
+  if (q.items.empty()) {
+    q.deficit = 0;
+  }
+  total_--;
+  return true;
 }
 
 bool DrrQueue::PopUrgent(double now_seconds, DrrItem* out) {

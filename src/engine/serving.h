@@ -106,7 +106,9 @@ class DrrQueue {
   explicit DrrQueue(std::vector<double> quanta);
 
   void Push(DrrItem item);  // item.tenant selects the FIFO queue
-  // DRR-picks the next item to serve. False when every queue is empty.
+  // DRR-picks the next item to serve. False when every queue is empty. One
+  // call costs one pass over the tenants, however many rotations of credit
+  // the heads' costs need.
   bool Pop(DrrItem* out);
 
   // SLO-aware escape hatch, tried BEFORE Pop: serves the head item whose

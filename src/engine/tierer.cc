@@ -31,15 +31,14 @@ void BackgroundTierer::Stop() {
   done_cv_.notify_all();
 }
 
-void BackgroundTierer::Watch(CompiledModuleRef code, WorkloadSpec spec, CodegenOptions base,
-                             std::shared_ptr<SampledProfile> sampler) {
-  if (code == nullptr || sampler == nullptr) {
+void BackgroundTierer::Watch(uint64_t module_hash, uint64_t fingerprint, WorkloadSpec spec,
+                             CodegenOptions base, std::shared_ptr<SampledProfile> sampler) {
+  if (sampler == nullptr) {
     return;
   }
   auto w = std::make_unique<Watched>();
-  w->module_hash = code->module_hash();
-  w->fingerprint = code->fingerprint();
-  w->code = std::move(code);
+  w->module_hash = module_hash;
+  w->fingerprint = fingerprint;
   w->spec = std::move(spec);
   w->base = std::move(base);
   w->sampler = std::move(sampler);
@@ -127,13 +126,16 @@ bool BackgroundTierer::TierOne(const Watched& w) {
   // Engine::TierUp disk-persists the profile for the next process.
   std::string error;
   CodegenOptions tiered = engine_->TierUp(w.spec, w.base, &error);
+  // The module to recompile, rebuilt from its spec: the cache entry keeps
+  // only compiled code.
+  const Module module = w.spec.build();
   if (tiered.profile == nullptr) {
     // Warm-up failed (build error, trap): fall back to the profile the
     // samples themselves imply. Coarser — entry/back-edge weights only, no
     // per-site vectors — but enough for pgo_layout's hot/cold partitioning.
     // Insert under a distinct name so a later successful warm-up is not
     // shadowed.
-    Profile sampled = w.sampler->ToProfile(w.code->module().NumImportedFuncs());
+    Profile sampled = w.sampler->ToProfile(module.NumImportedFuncs());
     if (sampled.num_funcs() == 0) {
       return false;
     }
@@ -143,7 +145,7 @@ bool BackgroundTierer::TierOne(const Watched& w) {
 
   engine_->background_recompiles_.fetch_add(1, std::memory_order_relaxed);
   CompileInfo info;
-  CompiledModuleRef tiered_code = engine_->Compile(w.code->module(), tiered, &info);
+  CompiledModuleRef tiered_code = engine_->Compile(module, tiered, &info);
   if (tiered_code == nullptr || !tiered_code->ok) {
     span.arg("error", tiered_code == nullptr ? "null result" : tiered_code->error);
     return false;

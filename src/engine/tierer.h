@@ -51,11 +51,12 @@ class BackgroundTierer {
   explicit BackgroundTierer(Engine* engine);
   ~BackgroundTierer();  // Stop() + join
 
-  // Registers base-tier code for tier-up watching. Deduped by the compiled
-  // module's (module_hash, fingerprint) key; `code` is retained so the
-  // module stays rebuildable. Thread-safe.
-  void Watch(CompiledModuleRef code, WorkloadSpec spec, CodegenOptions base,
-             std::shared_ptr<SampledProfile> sampler);
+  // Registers the base-tier compile of `spec` under `base`, cached under
+  // (module_hash, fingerprint), for tier-up watching. Deduped by that key.
+  // Holds no compiled code: a tier-up rebuilds the module from `spec`.
+  // Thread-safe.
+  void Watch(uint64_t module_hash, uint64_t fingerprint, WorkloadSpec spec,
+             CodegenOptions base, std::shared_ptr<SampledProfile> sampler);
 
   // Blocks until no watch is both past the threshold and still unswapped
   // (tests/benches want a deterministic "all swaps landed" point; production
@@ -72,7 +73,6 @@ class BackgroundTierer {
     // Immutable after registration (TierOne reads them without the lock).
     uint64_t module_hash = 0;
     uint64_t fingerprint = 0;  // BASE options key — the swap target
-    CompiledModuleRef code;
     WorkloadSpec spec;
     CodegenOptions base;
     std::shared_ptr<SampledProfile> sampler;

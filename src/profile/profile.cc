@@ -89,14 +89,6 @@ Profile Profile::ForModule(const Module& module) {
   return p;
 }
 
-uint64_t Profile::total_instrs() const {
-  uint64_t n = 0;
-  for (const FuncProfile& fp : funcs_) {
-    n += fp.instrs_retired;
-  }
-  return n;
-}
-
 uint64_t Profile::Weight(uint32_t joint_index) const {
   const FuncProfile& fp = funcs_[joint_index];
   // The per-entry charge keeps hot import stubs (no body instructions) ahead
@@ -111,58 +103,6 @@ std::vector<uint32_t> Profile::FunctionsByHotness() const {
     return Weight(a) > Weight(b);
   });
   return order;
-}
-
-std::vector<uint32_t> Profile::HotFunctions(double coverage) const {
-  std::vector<uint32_t> order = FunctionsByHotness();
-  uint64_t total = 0;
-  for (uint32_t i = 0; i < num_funcs(); i++) {
-    total += Weight(i);
-  }
-  std::vector<uint32_t> hot;
-  uint64_t acc = 0;
-  for (uint32_t f : order) {
-    uint64_t w = Weight(f);
-    if (w == 0 || (total > 0 && static_cast<double>(acc) >= coverage * static_cast<double>(total))) {
-      break;
-    }
-    hot.push_back(f);
-    acc += w;
-  }
-  return hot;
-}
-
-void Profile::Merge(const Profile& other) {
-  if (funcs_.size() < other.funcs_.size()) {
-    funcs_.resize(other.funcs_.size());
-  }
-  for (uint32_t i = 0; i < other.num_funcs(); i++) {
-    const FuncProfile& src = other.funcs_[i];
-    FuncProfile& dst = funcs_[i];
-    dst.entry_count += src.entry_count;
-    dst.instrs_retired += src.instrs_retired;
-    if (dst.loop_trips.size() < src.loop_trips.size()) {
-      dst.loop_trips.resize(src.loop_trips.size(), 0);
-    }
-    for (size_t s = 0; s < src.loop_trips.size(); s++) {
-      dst.loop_trips[s] += src.loop_trips[s];
-    }
-    if (dst.branches.size() < src.branches.size()) {
-      dst.branches.resize(src.branches.size());
-    }
-    for (size_t s = 0; s < src.branches.size(); s++) {
-      dst.branches[s].taken += src.branches[s].taken;
-      dst.branches[s].not_taken += src.branches[s].not_taken;
-    }
-    if (dst.indirect_sites.size() < src.indirect_sites.size()) {
-      dst.indirect_sites.resize(src.indirect_sites.size());
-    }
-    for (size_t s = 0; s < src.indirect_sites.size(); s++) {
-      for (const auto& [elem, count] : src.indirect_sites[s].targets) {
-        dst.indirect_sites[s].targets[elem] += count;
-      }
-    }
-  }
 }
 
 // --- Binary serialization ---

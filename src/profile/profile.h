@@ -68,8 +68,6 @@ class Profile {
   const FuncProfile& func(uint32_t joint_index) const { return funcs_[joint_index]; }
   const std::vector<FuncProfile>& funcs() const { return funcs_; }
 
-  uint64_t total_instrs() const;
-
   // Hotness weight used for code layout: self instructions plus a per-entry
   // charge (so frequently-called leaf stubs rank above never-run code).
   uint64_t Weight(uint32_t joint_index) const;
@@ -77,12 +75,6 @@ class Profile {
   // All function indices sorted hottest-first (ties broken by index, so the
   // order is deterministic).
   std::vector<uint32_t> FunctionsByHotness() const;
-
-  // The hottest functions that together cover `coverage` of total weight.
-  std::vector<uint32_t> HotFunctions(double coverage = 0.99) const;
-
-  // Accumulates `other` (site vectors must be compatible or empty).
-  void Merge(const Profile& other);
 
   // --- Serialization ---
   // Compact binary form (magic "NSFP", LEB128 payload). Round-trips

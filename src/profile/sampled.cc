@@ -31,29 +31,18 @@ void SampledProfile::Fold(const uint64_t* entries, const uint64_t* backedges, ui
 
 Profile SampledProfile::ToProfile(uint32_t num_imported) const {
   Profile profile(num_imported + num_funcs_);
-  MergeInto(&profile, num_imported);
-  return profile;
-}
-
-void SampledProfile::MergeInto(Profile* out, uint32_t num_imported) const {
   const uint64_t scale = period_ == 0 ? 1 : period_;
   for (uint32_t f = 0; f < num_funcs_; f++) {
-    uint32_t joint = num_imported + f;
-    if (joint >= out->num_funcs()) {
-      break;
-    }
     uint64_t e = entries_[f].load(std::memory_order_relaxed);
     uint64_t b = backedges_[f].load(std::memory_order_relaxed);
-    if (e == 0 && b == 0) {
-      continue;
-    }
-    FuncProfile& fp = out->func(joint);
-    fp.entry_count += e * scale;
+    FuncProfile& fp = profile.func(num_imported + f);
+    fp.entry_count = e * scale;
     // Each sample stands for ~period dispatch events of progress inside the
     // function, so the combined scaled count is the self-weight proxy the
     // layout pass ranks by.
-    fp.instrs_retired += (e + b) * scale;
+    fp.instrs_retired = (e + b) * scale;
   }
+  return profile;
 }
 
 void SampledProfile::Reset() {

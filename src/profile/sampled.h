@@ -15,12 +15,11 @@
 //     counts on every run.
 //
 // Consumption: ToProfile() reconstructs a hotness-only Profile (entry counts
-// and self-instruction weight scaled by the period, EMPTY site vectors —
-// Profile::Merge explicitly accepts empty site vectors, so a sampled profile
-// merges cleanly into a full instrumented one). The background tierer feeds
-// it to the existing PGO pipeline for layout decisions, or uses the sample
-// totals purely as a hotness trigger for a full warm-up collected off the
-// serve path.
+// and self-instruction weight scaled by the period, EMPTY site vectors, which
+// the PGO passes read as "no site data"). The background tierer feeds it to
+// the existing PGO pipeline for layout decisions, or uses the sample totals
+// purely as a hotness trigger for a full warm-up collected off the serve
+// path.
 #ifndef SRC_PROFILE_SAMPLED_H_
 #define SRC_PROFILE_SAMPLED_H_
 
@@ -62,11 +61,6 @@ class SampledProfile {
   // index `num_imported + f`; entry_count and instrs_retired are the sample
   // counts scaled back up by the period; all site vectors stay empty.
   Profile ToProfile(uint32_t num_imported = 0) const;
-
-  // Accumulates this sink's reconstruction into `out` (Profile::Merge
-  // semantics: empty site vectors merge into anything), so sampling windows
-  // can refine a previously collected full profile.
-  void MergeInto(Profile* out, uint32_t num_imported = 0) const;
 
   void Reset();
 

@@ -104,25 +104,15 @@ uint64_t Dispatch(Process* p, const std::string& name, uint64_t a0, uint64_t a1,
 
 }  // namespace
 
-void BindSyscalls(SimMachine* machine, const CompileResult& /*compiled*/,
-                  const Module& module, Process* process) {
-  uint32_t import_index = 0;
-  for (const Import& imp : module.imports) {
-    if (imp.kind != ExternalKind::kFunc) {
-      continue;
-    }
-    std::string name = imp.name;
-    SimMachine* m = machine;
-    Process* p = process;
-    machine->RegisterHost(import_index, [name, m, p](SimMachine& mach) {
+void BindSyscalls(SimMachine* machine, const CompileResult& compiled, Process* process) {
+  for (uint32_t i = 0; i < compiled.import_names.size(); i++) {
+    machine->RegisterHost(i, [name = compiled.import_names[i], process](SimMachine& mach) {
       uint64_t ms =
           static_cast<uint64_t>(mach.SecondsFromCycles(mach.counters().cycles()) * 1000.0);
-      uint64_t r = Dispatch(p, name, mach.gpr(Gpr::kRdi), mach.gpr(Gpr::kRsi),
+      uint64_t r = Dispatch(process, name, mach.gpr(Gpr::kRdi), mach.gpr(Gpr::kRsi),
                             mach.gpr(Gpr::kRdx), ms);
       mach.set_gpr(Gpr::kRax, r);
-      (void)m;
     });
-    import_index++;
   }
 }
 

@@ -70,11 +70,9 @@ struct SyscallImports {
 class ModuleBuilder;
 SyscallImports DeclareSyscallImports(ModuleBuilder* mb);
 
-// Binds the module's function imports (which must be the bsx set, in
-// DeclareSyscallImports order) to `process` via machine host hooks.
-// `import_hooks` comes from CompileResult.
-void BindSyscalls(SimMachine* machine, const CompileResult& compiled, const Module& module,
-                  Process* process);
+// Binds the compiled module's function imports (the bsx calls) to `process`
+// via machine host hooks: hook i dispatches on compiled.import_names[i].
+void BindSyscalls(SimMachine* machine, const CompileResult& compiled, Process* process);
 
 // Equivalent binding for the reference interpreter.
 std::unique_ptr<HostModule> MakeInterpSyscalls(Process* process);

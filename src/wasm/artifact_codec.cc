@@ -1,12 +1,9 @@
 #include "src/wasm/artifact_codec.h"
 
 #include <cstring>
-#include <utility>
 
 #include "src/support/leb128.h"
 #include "src/support/str.h"
-#include "src/wasm/decoder.h"
-#include "src/wasm/encoder.h"
 
 // Build-time fingerprint of src/ (generated by cmake/nsf_build_id.cmake).
 // Compiled artifacts embed it so a persistent cache dir can never serve
@@ -203,7 +200,6 @@ void WriteProgram(std::vector<uint8_t>& out, const MProgram& p) {
     WriteVarU32(out, e.sig_id);
     WriteVarU32(out, e.func_index);
   }
-  WriteVarU32(out, p.entry_func);
   WriteVarU32(out, static_cast<uint32_t>(p.layout_order.size()));
   for (uint32_t idx : p.layout_order) {
     WriteVarU32(out, idx);
@@ -254,7 +250,6 @@ bool ReadProgram(ByteReader& r, MProgram* p) {
     e.sig_id = r.ReadVarU32();
     e.func_index = r.ReadVarU32();
   }
-  p->entry_func = r.ReadVarU32();
   uint32_t layout_size = r.ReadVarU32();
   if (!r.ok() || layout_size > r.remaining()) {
     return false;
@@ -295,7 +290,7 @@ bool ReadProgram(ByteReader& r, MProgram* p) {
   //   - layout_order must be a permutation of the function indices (Link()).
   //   - global_inits slots index a vector sized num_globals at machine
   //     construction, written unchecked.
-  //   - entry_func / table func_index are call targets — the machine does
+  //   - table func_index entries are call targets — the machine does
   //     bounds-check those at run time, but reject them here too so a bad
   //     artifact fails loudly at load instead of trapping mid-run.
   if (!p->layout_order.empty()) {
@@ -315,9 +310,6 @@ bool ReadProgram(ByteReader& r, MProgram* p) {
     if (slot >= p->num_globals) {
       return false;
     }
-  }
-  if (p->funcs.empty() ? p->entry_func != 0 : p->entry_func >= p->funcs.size()) {
-    return false;
   }
   for (const MProgram::TableEntry& e : p->table) {
     if (e.func_index != UINT32_MAX && e.func_index >= p->funcs.size()) {
@@ -339,9 +331,6 @@ std::vector<uint8_t> SerializeArtifact(const CompiledArtifact& artifact) {
   WriteFixedU64(payload, artifact.module_hash);
   WriteFixedU64(payload, artifact.options_fingerprint);
   WriteString(payload, artifact.profile_name);
-  payload.push_back(static_cast<uint8_t>(artifact.tier));
-  WriteFixedU64(payload, artifact.profile_fingerprint);
-  WriteBytes(payload, EncodeModule(artifact.module));
 
   const CompileStats& stats = artifact.compiled.stats;
   WriteF64(payload, stats.seconds);
@@ -350,13 +339,14 @@ std::vector<uint8_t> SerializeArtifact(const CompiledArtifact& artifact) {
   WriteVarU64(payload, stats.spill_slots);
   WriteVarU64(payload, stats.code_bytes);
 
-  WriteVarU32(payload, static_cast<uint32_t>(artifact.compiled.func_map.size()));
-  for (uint32_t v : artifact.compiled.func_map) {
-    WriteVarU32(payload, v);
+  WriteVarU32(payload, static_cast<uint32_t>(artifact.compiled.import_names.size()));
+  for (const std::string& name : artifact.compiled.import_names) {
+    WriteString(payload, name);
   }
-  WriteVarU32(payload, static_cast<uint32_t>(artifact.compiled.import_hooks.size()));
-  for (uint32_t v : artifact.compiled.import_hooks) {
-    WriteVarU32(payload, v);
+  WriteVarU32(payload, static_cast<uint32_t>(artifact.compiled.exports.size()));
+  for (const FuncExport& e : artifact.compiled.exports) {
+    WriteString(payload, e.name);
+    WriteVarU32(payload, e.func_index);
   }
   WriteProgram(payload, artifact.compiled.program);
 
@@ -401,23 +391,6 @@ bool DeserializeArtifact(const std::vector<uint8_t>& bytes, CompiledArtifact* ou
   out->module_hash = r.ReadFixedU64();
   out->options_fingerprint = r.ReadFixedU64();
   out->profile_name = r.ReadString(r.ReadVarU32());
-  uint8_t tier = r.ReadByte();
-  if (tier > static_cast<uint8_t>(CompileTier::kProfiled)) {
-    return Fail(error, "unknown compile tier");
-  }
-  out->tier = static_cast<CompileTier>(tier);
-  out->profile_fingerprint = r.ReadFixedU64();
-
-  uint32_t module_len = r.ReadVarU32();
-  std::vector<uint8_t> module_bytes;
-  if (!r.ok() || !r.ReadBytes(module_len, &module_bytes)) {
-    return Fail(error, "truncated module bytes");
-  }
-  DecodeResult decoded = DecodeModule(module_bytes);
-  if (!decoded.ok) {
-    return Fail(error, "embedded module does not decode: " + decoded.error);
-  }
-  out->module = std::move(decoded.module);
 
   CompileStats& stats = out->compiled.stats;
   stats.seconds = r.ReadF64();
@@ -426,21 +399,22 @@ bool DeserializeArtifact(const std::vector<uint8_t>& bytes, CompiledArtifact* ou
   stats.spill_slots = r.ReadVarU64();
   stats.code_bytes = r.ReadVarU64();
 
-  uint32_t map_size = r.ReadVarU32();
-  if (!r.ok() || map_size > r.remaining()) {
-    return Fail(error, "truncated func_map");
+  uint32_t num_imports = r.ReadVarU32();
+  if (!r.ok() || num_imports > r.remaining()) {
+    return Fail(error, "truncated import names");
   }
-  out->compiled.func_map.resize(map_size);
-  for (uint32_t& v : out->compiled.func_map) {
-    v = r.ReadVarU32();
+  out->compiled.import_names.resize(num_imports);
+  for (std::string& name : out->compiled.import_names) {
+    name = r.ReadString(r.ReadVarU32());
   }
-  uint32_t hooks_size = r.ReadVarU32();
-  if (!r.ok() || hooks_size > r.remaining()) {
-    return Fail(error, "truncated import_hooks");
+  uint32_t num_exports = r.ReadVarU32();
+  if (!r.ok() || num_exports > r.remaining()) {
+    return Fail(error, "truncated exports");
   }
-  out->compiled.import_hooks.resize(hooks_size);
-  for (uint32_t& v : out->compiled.import_hooks) {
-    v = r.ReadVarU32();
+  out->compiled.exports.resize(num_exports);
+  for (FuncExport& e : out->compiled.exports) {
+    e.name = r.ReadString(r.ReadVarU32());
+    e.func_index = r.ReadVarU32();
   }
   if (!ReadProgram(r, &out->compiled.program)) {
     return Fail(error, "malformed program section");

@@ -15,18 +15,22 @@
 //                     little-endian 8-byte word, h = (h ^ word) * K and
 //                     h ^= h >> 32 (K odd, h seeded with FNV-1a's offset
 //                     basis), then FNV-1a over the size % 8 tail bytes
-//   payload           module bytes (the Wasm binary encoding), provenance,
-//                     compile stats/maps, and the MProgram in structured form
+//   payload           the cache key (module hash, options fingerprint) and
+//                     profile name; the compile stats; the module's
+//                     interface: each function import's field name, in
+//                     import order, and each function export's name and
+//                     function index; then the MProgram in structured form
 //
 // Deserialize rejects (returns false, never crashes) on: short input, bad
 // magic, version or source-fingerprint mismatch, checksum mismatch,
-// truncated or malformed payload, a payload whose embedded module fails to
-// decode, and decoded index fields that would write out of bounds at machine
-// construction (layout permutation, global-init slots, entry/table function
-// indices). The artifact is relocatable: code_base / instr_offsets /
-// total_code_bytes are not stored; DeserializeArtifact re-runs
-// MProgram::Link(), which is deterministic, so a round-tripped artifact is
-// byte-identical when serialized again.
+// truncated or malformed payload, trailing bytes, and decoded index fields
+// that would write out of bounds at machine construction (layout
+// permutation, global-init slots, table function indices). The artifact
+// holds no Wasm module: an export's function index is bounds-checked when
+// it runs (SimMachine::RunAt), like any call target. The artifact is
+// relocatable: code_base / instr_offsets / total_code_bytes are not stored;
+// DeserializeArtifact re-runs MProgram::Link(), which is deterministic, so
+// a round-tripped artifact is byte-identical when serialized again.
 #ifndef SRC_WASM_ARTIFACT_CODEC_H_
 #define SRC_WASM_ARTIFACT_CODEC_H_
 
@@ -39,9 +43,10 @@
 namespace nsf {
 
 // Version 2 replaced version 1's byte-serial FNV-1a payload checksum with the
-// word-wise one above; the payload layout is unchanged. A file of any other
-// version is rejected, so the disk tier deletes and recompiles it once.
-inline constexpr uint32_t kArtifactFormatVersion = 2;
+// word-wise one above. Version 3 stores the module's interface in place of
+// the whole Wasm module. A file of any other version is rejected, so the
+// disk tier deletes and recompiles it once.
+inline constexpr uint32_t kArtifactFormatVersion = 3;
 
 // Encodes `artifact` (which must be ok(): failed compiles are not artifacts).
 std::vector<uint8_t> SerializeArtifact(const CompiledArtifact& artifact);

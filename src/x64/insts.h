@@ -242,7 +242,6 @@ struct MProgram {
     uint32_t func_index = UINT32_MAX;
   };
   std::vector<TableEntry> table;
-  uint32_t entry_func = 0;
   uint64_t total_code_bytes = 0;
   // Code-layout order: function indices in the order their code is placed in
   // memory (PGO packs hot functions first to cut L1i misses). Must be a

@@ -13,14 +13,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <latch>
 #include <memory>
-#include <regex>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -64,6 +65,24 @@ engine::EngineConfig DiskConfig(const std::string& dir, uint64_t max_bytes = 0) 
   config.cache_dir = dir;
   config.disk_cache_max_bytes = max_bytes;
   return config;
+}
+
+bool IsLowerHex(std::string_view s) {
+  return std::all_of(s.begin(), s.end(),
+                     [](char c) { return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'); });
+}
+
+// "nsfa-", 16 lowercase hex digits, "-", 16 more, ".bin": an artifact file.
+bool IsArtifactName(std::string_view name) {
+  return name.size() == 42 && name.starts_with("nsfa-") && name[21] == '-' &&
+         name.ends_with(".bin") && IsLowerHex(name.substr(5, 16)) &&
+         IsLowerHex(name.substr(22, 16));
+}
+
+// "nsfp-", 16 lowercase hex digits, ".bin": a tier-up profile file.
+bool IsProfileName(std::string_view name) {
+  return name.size() == 25 && name.starts_with("nsfp-") && name.ends_with(".bin") &&
+         IsLowerHex(name.substr(5, 16));
 }
 
 Module SumSquaresModule(int32_t bias = 0) {
@@ -120,12 +139,11 @@ TEST(DiskTier, RacingColdEnginesEachPublishACompleteFile) {
   EXPECT_TRUE(ia.compiled && ib.compiled);
   EXPECT_EQ(a.Stats().disk_stores + b.Stats().disk_stores, 2u);
   EXPECT_EQ(ra->program().total_code_bytes, rb->program().total_code_bytes);
-  const std::regex artifact(R"(^nsfa-[0-9a-f]{16}-[0-9a-f]{16}\.bin$)");
   int artifacts = 0;
   for (const auto& entry : fs::directory_iterator(dir.path)) {
     const std::string name = entry.path().filename().string();
     EXPECT_EQ(name.find(".tmp."), std::string::npos) << "unrenamed tmp file: " << name;
-    artifacts += std::regex_match(name, artifact) ? 1 : 0;
+    artifacts += IsArtifactName(name) ? 1 : 0;
   }
   EXPECT_EQ(artifacts, 1);
 
@@ -206,12 +224,11 @@ TEST(DiskTier, SecondProcessServesEveryKeyFromDisk) {
     ASSERT_TRUE(WIFEXITED(status)) << (warm ? "second" : "first") << " process crashed";
     ASSERT_EQ(WEXITSTATUS(status), 0) << (warm ? "second" : "first") << " process failed";
   }
-  const std::regex kept(
-      R"(^(nsfa-[0-9a-f]{16}-[0-9a-f]{16}|nsfp-[0-9a-f]{16})\.bin$|^run_history$)");
   int artifacts = 0;
   for (const auto& entry : fs::directory_iterator(dir.path)) {
     const std::string name = entry.path().filename().string();
-    EXPECT_TRUE(std::regex_match(name, kept)) << "stray file in the cache dir: " << name;
+    EXPECT_TRUE(IsArtifactName(name) || IsProfileName(name) || name == "run_history")
+        << "stray file in the cache dir: " << name;
     artifacts += name.rfind("nsfa-", 0) == 0 ? 1 : 0;
   }
   EXPECT_GT(artifacts, 0);

@@ -330,21 +330,19 @@ TEST(Artifact, SerializeDeserializeRoundTrip) {
   std::string error;
   ASSERT_TRUE(DeserializeArtifact(bytes, &restored, &error)) << error;
 
-  // Provenance survives.
+  // The cache key and profile name survive.
   EXPECT_EQ(restored.module_hash, code->module_hash());
   EXPECT_EQ(restored.options_fingerprint, code->fingerprint());
   EXPECT_EQ(restored.profile_name, code->profile_name());
-  EXPECT_EQ(restored.tier, CompileTier::kBaseline);
   EXPECT_TRUE(restored.ok());
 
-  // The module round-trips content-identically (same hash => same bytes).
-  EXPECT_EQ(HashModule(restored.module), code->module_hash());
+  // So does the interface: no imports, one function export.
+  EXPECT_TRUE(restored.compiled.import_names.empty());
+  ASSERT_EQ(restored.compiled.exports, (std::vector<FuncExport>{{"sum_squares", 0}}));
 
   // The program relinks to the identical listing, addresses included.
   EXPECT_EQ(restored.compiled.program.total_code_bytes, code->program().total_code_bytes);
   EXPECT_EQ(ProgramListing(restored.compiled.program), ProgramListing(code->program()));
-  EXPECT_EQ(restored.compiled.func_map, code->compiled().func_map);
-  EXPECT_EQ(restored.compiled.import_hooks, code->compiled().import_hooks);
   EXPECT_DOUBLE_EQ(restored.stats().seconds, code->stats().seconds);
 
   // Serialization is a fixed point: encode(decode(encode(a))) == encode(a).
@@ -370,7 +368,9 @@ TEST(Artifact, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(a.counters.instructions_retired, b.counters.instructions_retired);
 }
 
-TEST(Artifact, TieredArtifactCarriesTierTagAndProfileFingerprint) {
+// A tiered artifact records its profile only through its key: the options
+// fingerprint hashes the profile's bytes (CodeCache.ProfileContentsFeedTheFingerprint).
+TEST(Artifact, TieredArtifactIsKeyedByItsProfileAndRoundTrips) {
   Module m = SumSquaresModule();
   Profile profile = Profile::ForModule(m);
   profile.func(0).entry_count = 1;
@@ -382,16 +382,18 @@ TEST(Artifact, TieredArtifactCarriesTierTagAndProfileFingerprint) {
   engine::Engine eng;
   engine::CompiledModuleRef code = eng.Compile(m, tiered);
   ASSERT_TRUE(code->ok) << code->error;
-  EXPECT_EQ(code->tier(), CompileTier::kProfiled);
-  std::vector<uint8_t> pbytes = profile.SerializeBinary();
-  EXPECT_EQ(code->artifact.profile_fingerprint, Fnv1a(pbytes.data(), pbytes.size()));
+  EXPECT_EQ(code->fingerprint(), tiered.Fingerprint());
+  EXPECT_NE(code->fingerprint(), CodegenOptions::ChromeV8().Fingerprint());
+  EXPECT_FALSE(code->program().layout_order.empty());
 
   std::vector<uint8_t> bytes = SerializeArtifact(code->artifact);
   CompiledArtifact restored;
   std::string error;
   ASSERT_TRUE(DeserializeArtifact(bytes, &restored, &error)) << error;
-  EXPECT_EQ(restored.tier, CompileTier::kProfiled);
-  EXPECT_EQ(restored.profile_fingerprint, code->artifact.profile_fingerprint);
+  EXPECT_EQ(restored.options_fingerprint, tiered.Fingerprint());
+  EXPECT_EQ(restored.profile_name, code->profile_name());
+  EXPECT_EQ(restored.compiled.program.layout_order, code->program().layout_order);
+  EXPECT_EQ(SerializeArtifact(restored), bytes);
 }
 
 TEST(Artifact, RejectsCorruptTruncatedAndVersionMismatchedBytes) {
@@ -480,6 +482,10 @@ TEST(Artifact, ReserializingIsTheIdentityUnderEachPaperProfile) {
     std::string error;
     ASSERT_TRUE(DeserializeArtifact(bytes, &restored, &error)) << opts.profile_name << ": " << error;
     EXPECT_EQ(SerializeArtifact(restored), bytes) << opts.profile_name;
+    // The bsx imports and the exports come back in order.
+    EXPECT_FALSE(restored.compiled.import_names.empty()) << opts.profile_name;
+    EXPECT_EQ(restored.compiled.import_names, code->compiled().import_names) << opts.profile_name;
+    EXPECT_EQ(restored.compiled.exports, code->compiled().exports) << opts.profile_name;
   }
 }
 
@@ -496,55 +502,63 @@ std::vector<uint8_t> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
-// A version-1 file (format 1 used byte-serial FNV-1a as its payload checksum
-// over the same payload layout) is a load failure: the engine deletes it,
-// recompiles, and stores a current-format file in its place.
+// A file of an older format is a load failure: the engine deletes it,
+// recompiles once, and stores a current-format file in its place. Each case
+// rewrites a current file's header: the version field, and for format 1 the
+// byte-serial FNV-1a checksum that format used (format 2 used today's). The
+// version field alone rejects the file before any payload byte is read, so
+// the payload's layout does not matter.
 TEST(DiskCache, VersionOneFileIsDeletedAndRecompiledOnce) {
-  TempCacheDir dir("v1");
-  Module m = SumSquaresModule(7);
-  const CodegenOptions options = CodegenOptions::ChromeV8();
-  std::string path;
-  {
-    engine::Engine writer(DiskConfig(dir.path));
-    ASSERT_TRUE(writer.Compile(m, options)->ok);
-    path = writer.cache().disk().PathForKey(HashModule(m), options.Fingerprint());
-  }
-  constexpr size_t kHeaderSize = 4 + 4 + 8 + 8;  // magic, version, source fp, checksum
-  std::vector<uint8_t> v1 = ReadFileBytes(path);
-  ASSERT_GT(v1.size(), kHeaderSize);
-  const uint64_t fnv = Fnv1a(v1.data() + kHeaderSize, v1.size() - kHeaderSize);
-  for (int i = 0; i < 4; i++) {
-    v1[4 + i] = i == 0 ? 1 : 0;
-  }
-  for (int i = 0; i < 8; i++) {
-    v1[16 + i] = static_cast<uint8_t>(fnv >> (8 * i));
-  }
-  {
-    FILE* f = fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(fwrite(v1.data(), 1, v1.size(), f), v1.size());
-    fclose(f);
-  }
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("format " + std::to_string(version));
+    TempCacheDir dir("v" + std::to_string(version));
+    Module m = SumSquaresModule(7);
+    const CodegenOptions options = CodegenOptions::ChromeV8();
+    std::string path;
+    {
+      engine::Engine writer(DiskConfig(dir.path));
+      ASSERT_TRUE(writer.Compile(m, options)->ok);
+      path = writer.cache().disk().PathForKey(HashModule(m), options.Fingerprint());
+    }
+    constexpr size_t kHeaderSize = 4 + 4 + 8 + 8;  // magic, version, source fp, checksum
+    std::vector<uint8_t> old = ReadFileBytes(path);
+    ASSERT_GT(old.size(), kHeaderSize);
+    for (int i = 0; i < 4; i++) {
+      old[4 + i] = static_cast<uint8_t>(version >> (8 * i));
+    }
+    if (version == 1) {
+      const uint64_t fnv = Fnv1a(old.data() + kHeaderSize, old.size() - kHeaderSize);
+      for (int i = 0; i < 8; i++) {
+        old[16 + i] = static_cast<uint8_t>(fnv >> (8 * i));
+      }
+    }
+    {
+      FILE* f = fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(fwrite(old.data(), 1, old.size(), f), old.size());
+      fclose(f);
+    }
 
-  engine::Engine reader(DiskConfig(dir.path));
-  engine::CompiledModuleRef a = reader.Compile(m, options);
-  ASSERT_TRUE(a->ok) << a->error;
-  EXPECT_FALSE(a->from_disk);
-  engine::EngineStats rs = reader.Stats();
-  EXPECT_EQ(rs.disk_load_failures, 1u);
-  EXPECT_EQ(rs.disk_hits, 0u);
-  EXPECT_EQ(rs.compiles, 1u);
-  EXPECT_EQ(rs.disk_stores, 1u);
-  std::vector<uint8_t> replaced = ReadFileBytes(path);
-  ASSERT_GT(replaced.size(), kHeaderSize);
-  EXPECT_EQ(replaced[4], kArtifactFormatVersion);
+    engine::Engine reader(DiskConfig(dir.path));
+    engine::CompiledModuleRef a = reader.Compile(m, options);
+    ASSERT_TRUE(a->ok) << a->error;
+    EXPECT_FALSE(a->from_disk);
+    engine::EngineStats rs = reader.Stats();
+    EXPECT_EQ(rs.disk_load_failures, 1u);
+    EXPECT_EQ(rs.disk_hits, 0u);
+    EXPECT_EQ(rs.compiles, 1u);
+    EXPECT_EQ(rs.disk_stores, 1u);
+    std::vector<uint8_t> replaced = ReadFileBytes(path);
+    ASSERT_GT(replaced.size(), kHeaderSize);
+    EXPECT_EQ(replaced[4], kArtifactFormatVersion);
 
-  engine::Engine again(DiskConfig(dir.path));
-  engine::CompiledModuleRef b = again.Compile(m, options);
-  ASSERT_TRUE(b->ok);
-  EXPECT_TRUE(b->from_disk);
-  EXPECT_EQ(again.Stats().disk_load_failures, 0u);
-  EXPECT_EQ(again.Stats().compiles, 0u);
+    engine::Engine again(DiskConfig(dir.path));
+    engine::CompiledModuleRef b = again.Compile(m, options);
+    ASSERT_TRUE(b->ok);
+    EXPECT_TRUE(b->from_disk);
+    EXPECT_EQ(again.Stats().disk_load_failures, 0u);
+    EXPECT_EQ(again.Stats().compiles, 0u);
+  }
 }
 
 TEST(DiskCache, SecondEngineLoadsArtifactInsteadOfCompiling) {

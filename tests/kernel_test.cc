@@ -273,7 +273,7 @@ TEST(RuntimeE2E, FileSumProgram) {
     SimMachine machine(&cr.program);
     MachineMemPort port(&machine);
     auto proc = kernel.CreateProcess(&port, {"filesum"});
-    BindSyscalls(&machine, cr, m, proc.get());
+    BindSyscalls(&machine, cr, proc.get());
     const Export* e = m.FindExport("main", ExternalKind::kFunc);
     MachineResult r = machine.RunAt(e->index, kStackBase + kStackSize);
     ASSERT_TRUE(r.ok) << opts.profile_name << ": " << r.error;

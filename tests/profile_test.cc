@@ -165,9 +165,10 @@ Profile SamplePayload() {
   // Mix in a collected loop profile so every site kind is populated.
   Module lm = LoopModule();
   Profile lp = Collect(lm, "f", {{TypedValue::I32(12)}});
-  p.Merge(Profile());  // no-op merge must be safe
   Profile combined(4);
-  combined.Merge(p);
+  for (uint32_t f = 0; f < p.num_funcs(); f++) {
+    combined.func(f) = p.func(f);
+  }
   combined.func(3) = lp.func(0);
   return combined;
 }
@@ -205,10 +206,6 @@ TEST(ProfileRanking, HotFunctionsFirst) {
   EXPECT_EQ(order[1], 1u);
   EXPECT_EQ(order[2], 3u);
   EXPECT_EQ(order[3], 0u);
-  std::vector<uint32_t> hot = p.HotFunctions(0.5);
-  ASSERT_FALSE(hot.empty());
-  EXPECT_EQ(hot[0], 2u);
-  EXPECT_LT(hot.size(), 4u);  // never-run functions are excluded
 }
 
 TEST(PgoCodegen, LayoutPlacesHotFunctionFirst) {
@@ -339,7 +336,11 @@ TEST(TierUpTest, SetsFlagsAndCachesOneProfilePerName) {
   std::string error;
   CodegenOptions chrome = eng.TierUp(spec, CodegenOptions::ChromeV8(), &error);
   ASSERT_NE(chrome.profile, nullptr) << error;
-  EXPECT_GT(chrome.profile->total_instrs(), 0u);
+  uint64_t instrs = 0;
+  for (const FuncProfile& fp : chrome.profile->funcs()) {
+    instrs += fp.instrs_retired;
+  }
+  EXPECT_GT(instrs, 0u);
   // The profile is cached per workload name, whatever the base options.
   CodegenOptions firefox = eng.TierUp(spec, CodegenOptions::FirefoxSM(), &error);
   EXPECT_EQ(firefox.profile, chrome.profile);

@@ -228,6 +228,31 @@ TEST(Drr, EmptyingAQueueForfeitsItsDeficit) {
   EXPECT_FALSE(q.Pop(&item));
 }
 
+TEST(Drr, HugeFiniteCostIsServedBesideANormalTenant) {
+  // A run_history line "1 1e300 x" loads as a 1e300 s observed mean, a
+  // finite cost no number of 0.002 s quanta can be added up to: past about
+  // 1e13 s, adding one quantum no longer changes the deficit at all. Each
+  // Pop must still return, the normal tenant must keep its turns, and the
+  // huge head must be served once it is the only backlog.
+  engine::DrrQueue q({0.002, 0.002});
+  q.Push(Item(0, 1e300, 0));
+  for (int i = 0; i < 3; i++) {
+    q.Push(Item(1, 0.05, i));
+  }
+  engine::DrrItem item;
+  for (int i = 0; i < 3; i++) {
+    ASSERT_TRUE(q.Pop(&item));
+    EXPECT_EQ(item.tenant, 1u);
+    EXPECT_EQ(item.seq, static_cast<uint64_t>(i));
+  }
+  ASSERT_TRUE(q.Pop(&item));
+  EXPECT_EQ(item.tenant, 0u);
+  EXPECT_EQ(item.cost, 1e300);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.deficit(0), 0.0);
+  EXPECT_FALSE(q.Pop(&item));
+}
+
 TEST(Drr, DrainAllEmptiesEveryQueue) {
   engine::DrrQueue q({1.0, 1.0, 1.0});
   for (int i = 0; i < 4; i++) {
